@@ -466,7 +466,7 @@ func runNet(cfg netConfig) error {
 func (res *netWorker) run(c *tasclient.Client, cfg netConfig, w int, deadline time.Time) {
 	// Pre-build the batch shape once; names cycle through the lock set,
 	// offset per client so contention spreads. Tokens are granted per
-	// batch, so RELEASE uses the v1-style server-tracked token (0) —
+	// batch, so RELEASE uses the server-tracked token (0) —
 	// the server still verifies its own record.
 	batch := make([]tasclient.Op, 0, 2*cfg.pipeline)
 	for i := 0; i < cfg.pipeline; i++ {

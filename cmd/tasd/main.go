@@ -2,10 +2,10 @@
 // repository's randomized test-and-set arena: named fenced locks
 // (ACQUIRE/TRYACQUIRE/RELEASE, with lease TTLs and strictly monotone
 // fencing tokens), named epoch'd leader elections
-// (ELECT/ELECTEPOCH/ELECTRESET), and a STATS counter snapshot, served
-// over the compact binary protocol of internal/wire (v2, with HELLO
-// version negotiation — v1 clients keep working) to any number of
-// tasclient connections.
+// (ELECTEPOCH/ELECTRESET), and a STATS counter snapshot, served over
+// the compact binary protocol of internal/wire (protocol v3 only; a
+// HELLO from an older client is refused) to any number of tasclient
+// connections.
 //
 // Usage:
 //
@@ -19,7 +19,7 @@
 // paper's per-process wait-freedom guarantees carry over per client. A
 // client that hangs while holding a leased lock is expired within
 // TTL + lease-sweep: waiters proceed on a force-installed round and the
-// zombie's release answers FENCED. Under overload (protocol v3) the
+// zombie's release answers FENCED. Under overload the
 // daemon degrades gracefully instead of queueing without bound:
 // -max-inflight caps blocked ACQUIREs server-wide and -max-waiters caps
 // them per lock — excess requests are shed with a BUSY answer carrying

@@ -1,9 +1,9 @@
-// Lock service: tasd + tasclient end to end in one process, on the v2
+// Lock service: tasd + tasclient end to end in one process, on the
 // fenced/leased surface.
 //
 // An in-process tasd server listens on an ephemeral loopback port and
-// four clients connect over real TCP (negotiating protocol v2 via
-// HELLO). Each client first runs a synchronous critical-section loop on
+// four clients connect over real TCP (protocol v3, checked by the
+// HELLO handshake). Each client first runs a synchronous critical-section loop on
 // one shared named lock — Acquire under a lease, increment a plain
 // counter, Release with the fencing token — then demonstrates
 // pipelining by sending batched ACQUIRE/RELEASE pairs through Client.Do

@@ -62,7 +62,7 @@ func appendFuzzFrame(buf []byte, g *rng.SplitMix64) (out []byte, terminal bool) 
 	id := uint32(g.Next())
 	name := fuzzNames[g.Intn(len(fuzzNames))]
 	switch g.Intn(9) {
-	case 0: // HELLO with version 0, current, future, or absurd
+	case 0: // HELLO with version 0, too old (refused), current, future, or absurd
 		versions := []uint32{0, 1, 2, 3, 1 << 20}
 		b, err := wire.AppendRequest(buf, wire.Request{
 			Op: wire.OpHello, ID: id, Version: versions[g.Intn(len(versions))],
@@ -76,7 +76,7 @@ func appendFuzzFrame(buf []byte, g *rng.SplitMix64) (out []byte, terminal bool) 
 		req := wire.Request{Op: byte(1 + g.Intn(9)), ID: id, Name: name}
 		switch req.Op {
 		case wire.OpHello:
-			req.Version = 2
+			req.Version = wire.Version
 		case wire.OpAcquire:
 			req.Op = wire.OpTryAcquire // never block the fuzzer itself
 			req.TTLMillis = uint32(g.Intn(3))
@@ -137,7 +137,7 @@ func appendFuzzFrame(buf []byte, g *rng.SplitMix64) (out []byte, terminal bool) 
 			[]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})...), true
 
 	default: // name-length lies: nameLen points past the frame end
-		f := rawFrame(wire.OpElect, id, "ab", nil)
+		f := rawFrame(wire.OpElectEpoch, id, "ab", nil)
 		f[9] = byte(200) // nameLen byte
 		return append(buf, f...), true
 	}

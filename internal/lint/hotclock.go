@@ -29,7 +29,6 @@ var hotPathFuncs = map[string]bool{
 	"process":          true, // per-request dispatch
 	"handle":           true, // per-connection read loop (frames arrive here)
 	"grant":            true,
-	"grantPayload":     true,
 	"reply":            true,
 	"replyErr":         true,
 	"shedReply":        true,

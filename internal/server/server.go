@@ -11,13 +11,13 @@
 // apply per process in the paper. Named objects come from a
 // randtas.Registry: ACQUIRE/TRYACQUIRE/RELEASE drive the named fenced
 // TAS-chaining mutexes (rounds recycled through the arena free lists),
-// ELECT/ELECTEPOCH/ELECTRESET drive the named epoch'd elections, STATS
+// ELECTEPOCH/ELECTRESET drive the named epoch'd elections, STATS
 // snapshots every counter as JSON.
 //
-// # Fencing and leases (protocol v2)
+// # Fencing and leases
 //
 // Every grant returns the round's strictly monotone fencing token, and
-// a v2 RELEASE carries the token back for verification: a mismatch is
+// a RELEASE may carry the token back for verification: a mismatch is
 // answered StatusFenced, never silently honored. An ACQUIRE may attach
 // a lease TTL; a dedicated sweeper goroutine expires overdue leases by
 // winning the per-lock owner word (a CAS against the exact granted
@@ -25,31 +25,30 @@
 // the successor round via Mutex.Revoke. The fenced holder's eventual
 // RELEASE answers StatusFenced, and a fenced connection that ACQUIREs
 // again is quietly cleaned up first — a hung-then-recovered client
-// needs no special casing. v1 connections cannot attach leases and so
-// are never fenced.
+// needs no special casing.
 //
-// # Version negotiation
+// # Handshake
 //
-// A v2 client's first frame is HELLO carrying the highest version it
-// speaks; the server answers with the connection's negotiated version
-// (min of the two) and switches response shapes accordingly: v2
-// connections receive fencing tokens in grant payloads and epochs in
-// election payloads, v1 connections receive the exact PR 4 byte shapes.
-// Old clients simply never send HELLO and keep working.
+// The server speaks protocol wire.Version only. A client's first frame
+// is normally HELLO carrying the highest version it speaks: a version
+// at or above wire.Version is answered with wire.Version, and anything
+// lower gets an error frame and a close — an older client would
+// misread this protocol's answers (a shed ACQUIRE's BUSY, say, as a
+// grant). HELLO is optional: a connection that never sends it is
+// served the same response shapes.
 //
-// # Overload (protocol v3)
+// # Overload
 //
 // Under offered load beyond capacity the server sheds and bounds rather
 // than queueing without limit. Admission control (Config.MaxWaiters,
 // Config.MaxInflight) refuses excess ACQUIREs with StatusBusy plus a
-// retry-after suggestion before they ever take an arena round. A v3
+// retry-after suggestion before they ever take an arena round. An
 // ACQUIRE may carry the client's remaining deadline (waitMs); when it
 // expires mid-wait the server aborts the waiter through the elector
 // (MutexProc.Abort — the PR 7 machinery) so the slot recycles instead
 // of electing for a caller that already gave up. Writes run under
 // Config.WriteTimeout: a peer that stops draining responses is evicted
-// through the normal disconnect-recovery path. v1/v2 connections never
-// see the new shapes — sheds answer them with a plain error frame.
+// through the normal disconnect-recovery path.
 //
 // # Batching
 //
@@ -761,18 +760,14 @@ func (s *Server) electionEntry(name string) *electionEntry {
 
 // conn is one connection's state, confined to its goroutine.
 type conn struct {
-	s       *Server
-	id      int
-	version uint32 // negotiated protocol version; 1 until HELLO
-	nc      net.Conn
-	br      *bufio.Reader
-	out     []byte               // batched responses, one write per batch
-	locks   map[string]*connLock // names this connection has touched
-	// elected caches this connection's v1 ELECT outcomes so repeats
-	// answer consistently forever, preserving the decided-once view
-	// regardless of epoch resets. epochElected caches the current
-	// epoch's ELECTEPOCH answer per name.
-	elected      map[string]byte
+	s     *Server
+	id    int
+	nc    net.Conn
+	br    *bufio.Reader
+	out   []byte               // batched responses, one write per batch
+	locks map[string]*connLock // names this connection has touched
+	// epochElected caches the current epoch's ELECTEPOCH answer per
+	// name, so repeats within an epoch answer consistently.
 	epochElected map[string]electResult
 	// lastProbe rate-limits dead-peer probes while blocked on a lock,
 	// in coarse-clock unix nanos.
@@ -865,16 +860,10 @@ func (c *conn) flush() error {
 }
 
 // shedReply answers an ACQUIRE the server refuses to wait out —
-// admission-control shed or propagated-deadline expiry. v3 connections
-// receive StatusBusy with the retry-after suggestion; older clients,
-// whose protocol never defined BUSY on ACQUIRE, get a plain error frame
-// they already know how to surface.
+// admission-control shed or propagated-deadline expiry — with
+// StatusBusy and the retry-after suggestion.
 func (c *conn) shedReply(req wire.Request) {
-	if c.version >= 3 {
-		c.reply(req.ID, wire.StatusBusy, wire.BusyPayload(c.s.retryAfterMillis()))
-		return
-	}
-	c.replyErr(req.ID, "ACQUIRE %q: server overloaded, retry later", req.Name)
+	c.reply(req.ID, wire.StatusBusy, wire.BusyPayload(c.s.retryAfterMillis()))
 }
 
 // maxBatchedResponses caps how much response data a batch accumulates
@@ -923,7 +912,7 @@ func (c *conn) dead() bool {
 // drains. The deferred cleanup releases held locks in this goroutine
 // (MutexProc confinement) and recycles the process slot.
 func (s *Server) handle(nc net.Conn, id int) {
-	c := &conn{s: s, id: id, version: 1, nc: nc, br: bufio.NewReaderSize(nc, 64<<10), locks: map[string]*connLock{}}
+	c := &conn{s: s, id: id, nc: nc, br: bufio.NewReaderSize(nc, 64<<10), locks: map[string]*connLock{}}
 	s.mu.Lock()
 	if _, ok := s.conns[nc]; ok {
 		s.conns[nc] = c // let the drain sweep reach c.blocked
@@ -1026,15 +1015,6 @@ func (c *conn) protocolBye(err error) {
 	c.replyErr(0, "protocol error: %v", err)
 }
 
-// grantPayload shapes a successful acquisition's payload for the
-// connection's protocol version: v2 clients receive the fencing token.
-func (c *conn) grantPayload(tok randtas.Token) []byte {
-	if c.version >= 2 {
-		return wire.TokenPayload(uint64(tok))
-	}
-	return nil
-}
-
 // process executes one request, appending its response to the batch.
 // It returns false when the connection must close (protocol misuse).
 func (s *Server) process(c *conn, req wire.Request) bool {
@@ -1043,19 +1023,17 @@ func (s *Server) process(c *conn, req wire.Request) bool {
 	}
 	switch req.Op {
 	case wire.OpHello:
-		v := req.Version
-		if v < 1 {
-			v = 1
+		if req.Version < wire.Version {
+			// An older client would misread this protocol's answers;
+			// refuse it outright rather than serve it wrong shapes.
+			c.replyErr(req.ID, "HELLO: client speaks protocol v%d, server requires v%d", req.Version, wire.Version)
+			return false
 		}
-		if v > wire.Version {
-			v = wire.Version
-		}
-		c.version = v
-		c.reply(req.ID, wire.StatusOK, wire.HelloPayload(v))
+		c.reply(req.ID, wire.StatusOK, wire.HelloPayload(wire.Version))
 		return true
 
 	case wire.OpAcquire:
-		// Propagated client deadline (v3 waitMs): absolute, against the
+		// Propagated client deadline (waitMs): absolute, against the
 		// sweeper's coarse clock, so the wait loop below never reads the
 		// wall clock. Like leases it can fire at most 2×LeaseSweep late,
 		// never early — enforcement lands within waitMs + 2×LeaseSweep.
@@ -1242,34 +1220,16 @@ func (s *Server) process(c *conn, req wire.Request) bool {
 		c.reply(req.ID, wire.StatusOK, nil)
 		return true
 
-	case wire.OpElect:
-		// The v1 decided-once view: the first answer sticks for the
-		// connection's lifetime, across epoch resets.
-		res, ok := c.elected[req.Name]
-		if !ok {
+	case wire.OpElectEpoch:
+		e := s.electionEntry(req.Name)
+		res, ok := c.epochElected[req.Name]
+		if !ok || res.epoch != e.e.Epoch() {
 			// Participate, not Elect: the proc is retained across
 			// connections, and a recycled slot must not inherit its dead
 			// predecessor's cached leadership — the per-epoch bitmap
 			// demotes reuse to loser, and repeat-query stability comes
 			// from this connection's own cache.
-			leader, _ := s.electionEntry(req.Name).proc(c.id).Participate()
-			res = wire.ElectLoser
-			if leader {
-				res = wire.ElectLeader
-			}
-			if c.elected == nil {
-				c.elected = map[string]byte{}
-			}
-			c.elected[req.Name] = res
-		}
-		c.reply(req.ID, wire.StatusOK, []byte{res})
-		return true
-
-	case wire.OpElectEpoch:
-		e := s.electionEntry(req.Name)
-		res, ok := c.epochElected[req.Name]
-		if !ok || res.epoch != e.e.Epoch() {
-			leader, epoch := e.proc(c.id).Participate() // uncached; see OpElect
+			leader, epoch := e.proc(c.id).Participate()
 			res = electResult{leader: leader, epoch: epoch}
 			if c.epochElected == nil {
 				c.epochElected = map[string]electResult{}
@@ -1336,7 +1296,7 @@ func (c *conn) grant(cl *connLock, req wire.Request, tok randtas.Token) {
 	}
 	cl.held = true
 	cl.tok = tok
-	c.reply(req.ID, wire.StatusOK, c.grantPayload(tok))
+	c.reply(req.ID, wire.StatusOK, wire.TokenPayload(uint64(tok)))
 }
 
 // statsPayload marshals the STATS snapshot, shrinking the per-name

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,8 +63,8 @@ func dial(t *testing.T, addr string) *tasclient.Client {
 	return c
 }
 
-// TestHelloNegotiation: dialing negotiates v2, and the negotiated
-// version shows up in STATS alongside the v2 counters.
+// TestHelloNegotiation: dialing runs the HELLO handshake, and the
+// protocol version shows up in STATS.
 func TestHelloNegotiation(t *testing.T) {
 	_, addr := start(t, server.Config{MaxClients: 4})
 	c := dial(t, addr)
@@ -467,18 +468,25 @@ func TestProtocolMisuse(t *testing.T) {
 	}
 }
 
-// TestV1Compat drives the server with hand-built v1 frames — no HELLO,
-// no trailers — and expects byte-exact v1 behavior: empty grant
-// payloads, 1-byte ELECT payloads, server-tracked release.
-func TestV1Compat(t *testing.T) {
-	_, addr := start(t, server.Config{MaxClients: 2})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+// TestHandshakeContract drives the server with hand-built frames. A
+// connection that never sends HELLO is served protocol-v3 shapes (the
+// grant carries its token; RELEASE with token 0 is server-tracked). A
+// HELLO below wire.Version is refused with an error frame and a close;
+// a higher one is answered with wire.Version. The retired opcode 4 is
+// an unknown opcode.
+func TestHandshakeContract(t *testing.T) {
+	_, addr := start(t, server.Config{MaxClients: 4})
+	open := func() net.Conn {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		return nc
 	}
-	defer nc.Close()
-
-	roundTrip := func(req wire.Request) wire.Response {
+	roundTrip := func(nc net.Conn, req wire.Request) wire.Response {
 		t.Helper()
 		buf, err := wire.AppendRequest(nil, req)
 		if err != nil {
@@ -496,22 +504,43 @@ func TestV1Compat(t *testing.T) {
 		}
 		return resp
 	}
+	closed := func(nc net.Conn, what string) {
+		t.Helper()
+		_, err := wire.ReadResponse(nc, 0)
+		var nerr net.Error
+		if err == nil || (errors.As(err, &nerr) && nerr.Timeout()) {
+			t.Fatalf("%s: connection not closed (read err %v)", what, err)
+		}
+	}
 
-	if resp := roundTrip(wire.Request{Op: wire.OpAcquire, ID: 1, Name: "L"}); resp.Status != wire.StatusOK || len(resp.Payload) != 0 {
-		t.Fatalf("v1 ACQUIRE = %+v, want OK with empty payload", resp)
+	nc := open()
+	resp := roundTrip(nc, wire.Request{Op: wire.OpAcquire, ID: 1, Name: "L"})
+	if tok, ok := wire.ParseTokenPayload(resp.Payload); resp.Status != wire.StatusOK || !ok || tok == 0 {
+		t.Fatalf("HELLO-less ACQUIRE = %+v, want OK with an 8-byte token", resp)
 	}
-	if resp := roundTrip(wire.Request{Op: wire.OpRelease, ID: 2, Name: "L"}); resp.Status != wire.StatusOK {
-		t.Fatalf("v1 RELEASE = %+v, want OK (server-tracked token)", resp)
+	if resp := roundTrip(nc, wire.Request{Op: wire.OpRelease, ID: 2, Name: "L"}); resp.Status != wire.StatusOK {
+		t.Fatalf("RELEASE with token 0 = %+v, want OK (server-tracked)", resp)
 	}
-	resp := roundTrip(wire.Request{Op: wire.OpElect, ID: 3, Name: "leader/x"})
-	if resp.Status != wire.StatusOK || len(resp.Payload) != 1 || resp.Payload[0] != wire.ElectLeader {
-		t.Fatalf("v1 ELECT = %+v, want the 1-byte leader payload", resp)
+
+	for _, v := range []uint32{1, 2} {
+		nc := open()
+		resp := roundTrip(nc, wire.Request{Op: wire.OpHello, ID: 1, Version: v})
+		if resp.Status != wire.StatusError {
+			t.Fatalf("HELLO v%d = %+v, want StatusError", v, resp)
+		}
+		closed(nc, fmt.Sprintf("HELLO v%d", v))
 	}
-	// Repeat ELECT sticks, exactly as in PR 4.
-	resp = roundTrip(wire.Request{Op: wire.OpElect, ID: 4, Name: "leader/x"})
-	if resp.Status != wire.StatusOK || len(resp.Payload) != 1 || resp.Payload[0] != wire.ElectLeader {
-		t.Fatalf("repeat v1 ELECT = %+v, want the same 1-byte answer", resp)
+
+	nc = open()
+	resp = roundTrip(nc, wire.Request{Op: wire.OpHello, ID: 1, Version: 9})
+	if v, ok := wire.ParseHelloPayload(resp.Payload); resp.Status != wire.StatusOK || !ok || v != wire.Version {
+		t.Fatalf("HELLO v9 = %+v, want OK answering v%d", resp, wire.Version)
 	}
+	resp = roundTrip(nc, wire.Request{Op: 4, ID: 2, Name: "leader/x"})
+	if resp.Status != wire.StatusError || !strings.HasPrefix(resp.Err(), "unknown opcode") {
+		t.Fatalf("opcode 4 = %+v, want an unknown-opcode error", resp)
+	}
+	closed(nc, "opcode 4")
 }
 
 // TestPartialFrame: a client torn away mid-frame must not wedge the

@@ -16,25 +16,35 @@
 // batch of dozens of operations fits in one TCP segment and the server
 // can turn the whole batch around with one read and one write.
 //
-// # Protocol versions
+// # Operations
 //
-// Version 1 (the PR 4 protocol) carries five operations: ACQUIRE and
-// RELEASE of a named lock (blocking), TRYACQUIRE (single probe, never
-// blocks), ELECT on a named one-shot leader election, and STATS (a JSON
-// snapshot of the server's counters).
+// This build speaks one protocol, Version 3. Its operations are:
 //
-// Version 2 adds the fenced, leased, epoch'd surface. A v2 client opens
-// with HELLO carrying the highest version it speaks; the server answers
-// with the version the connection will use. Requests then carry
-// per-op trailers after the name:
+//   - ACQUIRE (blocking), TRYACQUIRE (single probe, never blocks),
+//     RELEASE and EXTEND on named fenced locks;
+//   - ELECTEPOCH and ELECTRESET on named epoch'd elections;
+//   - STATS, a JSON snapshot of the server's counters;
+//   - HELLO, the optional handshake. It carries the highest version
+//     the client speaks; the server answers with Version, and refuses
+//     (error frame, then close) a client that speaks less.
+//
+// Opcode 4 is retired and must not be reused. Requests carry per-op
+// trailers after the name:
 //
 //	HELLO       u32 max version the client speaks
-//	ACQUIRE     u32 lease TTL in milliseconds (0 or absent: no lease)
-//	TRYACQUIRE  u32 lease TTL in milliseconds (0 or absent: no lease)
-//	RELEASE     u64 fencing token (0 or absent: server-tracked, v1 style)
-//	ELECTEPOCH  (none) — participate in the election's current epoch
-//	ELECTRESET  u64 epoch believed current (compare-and-bump guard)
-//	EXTEND      u64 fencing token + u32 new lease TTL in milliseconds
+//	ACQUIRE     [u32 lease TTL ms [+ u32 wait ms]]   (0, 4 or 8 bytes)
+//	TRYACQUIRE  [u32 lease TTL ms [+ u32 wait ms]]   (0, 4 or 8 bytes)
+//	RELEASE     [u64 fencing token]                  (0 or 8 bytes)
+//	ELECTEPOCH  [u32 wait ms]                        (0 or 4 bytes)
+//	ELECTRESET  u64 epoch believed current [+ u32 wait ms] (8 or 12 bytes)
+//	EXTEND      u64 fencing token + u32 new lease TTL ms   (12 bytes)
+//
+// Trailers are length-discriminated, and encoders omit zero-valued
+// optional fields: an absent TTL means no lease, an absent token on
+// RELEASE means "release the grant the server recorded for this
+// connection", and an absent wait means no deadline. The wait field is
+// the client's propagated deadline ("answer me within waitMs or give up
+// on my behalf").
 //
 // EXTEND renews the lease of a live grant (the heartbeat behind
 // tasclient.KeepAlive): if the token still owns the lock the lease
@@ -44,39 +54,16 @@
 // before the old deadline to be guaranteed effective — renewing at
 // TTL/3 intervals, as KeepAlive does, clears that bar comfortably.
 //
-// Version 3 adds the overload surface. Blocking-capable requests may
-// append a client deadline to their trailer — a u32 wait budget in
-// milliseconds ("answer me within waitMs or give up on my behalf"):
-//
-//	ACQUIRE     u32 TTL ms + u32 wait ms   (8-byte trailer)
-//	TRYACQUIRE  u32 TTL ms + u32 wait ms   (8-byte trailer)
-//	ELECT       u32 wait ms                (4-byte trailer)
-//	ELECTEPOCH  u32 wait ms                (4-byte trailer)
-//	ELECTRESET  u64 epoch + u32 wait ms    (12-byte trailer)
-//
-// Trailers remain length-discriminated: a v3 decoder accepts every
-// older shape, and a client only emits waitMs after HELLO negotiates
-// version ≥ 3. In the other direction StatusBusy is promoted from
-// "TRYACQUIRE lost its probe" (empty payload, still valid) to the
-// general shed answer: a v3 server refusing an ACQUIRE under overload
-// — admission-control shed or propagated-deadline expiry — answers
-// StatusBusy with an optional u32 retryAfterMs payload suggesting when
-// to retry. v1/v2 connections never receive the new payload: an
-// overloaded server sheds their ACQUIREs with a StatusError instead,
-// which every existing client already surfaces as a plain error.
-//
-// A v1 frame is exactly a v2 frame with an empty trailer, so old
-// clients keep working against a v2 server unchanged: no TTL means no
-// lease, no token means the server releases by its own bookkeeping, and
-// plain ELECT keeps its decided-once answer. Successful v2 ACQUIRE /
-// TRYACQUIRE responses carry the granted fencing token (u64);
-// ELECTEPOCH answers leader(u8) + epoch(u64); ELECTRESET answers the
-// now-current epoch (u64); HELLO answers the negotiated version (u32).
-// The new StatusFenced answers a RELEASE whose token was superseded
-// (lease expired and the lock re-granted) and an ELECTRESET whose epoch
-// is stale — stale parties learn they were fenced, never an opaque
-// error. v1 connections cannot attach leases, so they can never be
-// fenced.
+// Successful ACQUIRE / TRYACQUIRE responses carry the granted fencing
+// token (u64); ELECTEPOCH answers leader(u8) + epoch(u64); ELECTRESET
+// answers the now-current epoch (u64); HELLO answers Version (u32).
+// StatusBusy answers a lost TRYACQUIRE probe (empty payload) and an
+// ACQUIRE the server refused to wait out — admission-control shed or
+// propagated-deadline expiry — with an optional u32 retryAfterMs
+// payload suggesting when to retry. StatusFenced answers a RELEASE
+// whose token was superseded (lease expired and the lock re-granted)
+// and an ELECTRESET whose epoch is stale — stale parties learn they
+// were fenced, never an opaque error.
 package wire
 
 import (
@@ -86,17 +73,18 @@ import (
 	"io"
 )
 
-// Version is the highest protocol version this build speaks.
+// Version is the protocol version this build speaks, and the only one
+// it serves.
 const Version = 3
 
 // Request opcodes.
 const (
-	OpAcquire    byte = 1 // blocking lock acquisition (v2: optional lease TTL)
-	OpTryAcquire byte = 2 // single non-blocking probe (v2: optional lease TTL)
-	OpRelease    byte = 3 // release a held lock (v2: fencing token verified)
-	OpElect      byte = 4 // participate in a named election, v1 decided-once view
+	OpAcquire    byte = 1 // blocking lock acquisition (optional lease TTL)
+	OpTryAcquire byte = 2 // single non-blocking probe (optional lease TTL)
+	OpRelease    byte = 3 // release a held lock (fencing token verified)
+	// Opcode 4 is retired (the decided-once ELECT); never reuse it.
 	OpStats      byte = 5 // JSON counter snapshot
-	OpHello      byte = 6 // version negotiation, first frame of a v2 client
+	OpHello      byte = 6 // version handshake, optional first frame
 	OpElectEpoch byte = 7 // participate in the election's current epoch
 	OpElectReset byte = 8 // retire the given epoch and install the next
 	OpExtend     byte = 9 // renew the lease on a held lock (token verified)
@@ -105,12 +93,12 @@ const (
 // Response status codes.
 const (
 	StatusOK     byte = 0 // operation succeeded; see per-op payloads
-	StatusBusy   byte = 1 // probe lost, request shed, or deadline expired (v3: optional retryAfterMs payload)
+	StatusBusy   byte = 1 // probe lost, request shed, or deadline expired (optional retryAfterMs payload)
 	StatusError  byte = 2 // payload is a human-readable error message
 	StatusFenced byte = 3 // the token/epoch was superseded; payload: current fence (u64)
 )
 
-// ELECT response payload bytes.
+// ELECTEPOCH response leadership bytes.
 const (
 	ElectLoser  byte = 0
 	ElectLeader byte = 1
@@ -148,8 +136,6 @@ func OpName(op byte) string {
 		return "TRYACQUIRE"
 	case OpRelease:
 		return "RELEASE"
-	case OpElect:
-		return "ELECT"
 	case OpStats:
 		return "STATS"
 	case OpHello:
@@ -181,8 +167,8 @@ func StatusName(s byte) string {
 	}
 }
 
-// Request is one decoded client→server frame. The trailer fields carry
-// the v2 extensions; a v1 frame decodes with all of them zero.
+// Request is one decoded client→server frame. The trailer fields are
+// zero when the frame omits them.
 type Request struct {
 	Op   byte
 	ID   uint32
@@ -193,17 +179,17 @@ type Request struct {
 	// positive); 0 means no lease.
 	TTLMillis uint32
 	// Token is the fencing token on RELEASE (0 means "whatever the
-	// server recorded", v1 semantics) and the token being renewed on
-	// EXTEND (required).
+	// server recorded") and the token being renewed on EXTEND
+	// (required).
 	Token uint64
 	// Epoch is the compare-and-bump guard on ELECTRESET.
 	Epoch uint64
 	// Version is the client's highest spoken version on HELLO.
 	Version uint32
-	// WaitMillis is the client's propagated deadline (v3): the server
-	// should answer — grant, shed, or abort the wait — within this many
-	// milliseconds. 0 means no deadline. Valid on ACQUIRE, TRYACQUIRE
-	// and the ELECT family.
+	// WaitMillis is the client's propagated deadline: the server should
+	// answer — grant, shed, or abort the wait — within this many
+	// milliseconds. 0 means no deadline. Valid on ACQUIRE, TRYACQUIRE,
+	// ELECTEPOCH and ELECTRESET.
 	WaitMillis uint32
 }
 
@@ -239,7 +225,7 @@ func trailerLen(req Request) int {
 		if req.Token != 0 {
 			return 8
 		}
-	case OpElect, OpElectEpoch:
+	case OpElectEpoch:
 		if req.WaitMillis != 0 {
 			return 4
 		}
@@ -256,8 +242,7 @@ func trailerLen(req Request) int {
 
 // AppendRequest appends req's frame to buf and returns the extended
 // slice, so a pipelining client can pack a whole batch into one write.
-// Zero-valued trailer fields are omitted where the protocol allows,
-// which keeps v1-shaped traffic byte-identical to PR 4.
+// Zero-valued trailer fields are omitted where the protocol allows.
 func AppendRequest(buf []byte, req Request) ([]byte, error) {
 	if len(req.Name) > MaxName {
 		return buf, fmt.Errorf("%w (%d bytes)", ErrNameTooLong, len(req.Name))
@@ -288,7 +273,7 @@ func AppendRequest(buf []byte, req Request) ([]byte, error) {
 		if tl == 8 {
 			buf = binary.BigEndian.AppendUint64(buf, req.Token)
 		}
-	case OpElect, OpElectEpoch:
+	case OpElectEpoch:
 		if tl == 4 {
 			buf = binary.BigEndian.AppendUint32(buf, req.WaitMillis)
 		}
@@ -335,8 +320,8 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 // ReadRequest reads and decodes one request frame. maxFrame ≤ 0 means
 // DefaultMaxFrame. io.EOF is returned only on a clean close between
 // frames; a connection torn mid-frame yields io.ErrUnexpectedEOF. An
-// absent trailer decodes to zero values (v1 compatibility); a trailer
-// of the wrong size is a protocol error.
+// absent optional trailer decodes to zero values; a trailer of the
+// wrong size is a protocol error.
 func ReadRequest(r io.Reader, maxFrame int) (Request, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
@@ -372,13 +357,13 @@ func ReadRequest(r io.Reader, maxFrame int) (Request, error) {
 		default:
 			return Request{}, fmt.Errorf("wire: %s trailer %d bytes, want 0, 4 or 8", OpName(req.Op), len(trailer))
 		}
-	case OpElect, OpElectEpoch:
+	case OpElectEpoch:
 		switch len(trailer) {
 		case 0:
 		case 4:
 			req.WaitMillis = binary.BigEndian.Uint32(trailer)
 		default:
-			return Request{}, fmt.Errorf("wire: %s trailer %d bytes, want 0 or 4", OpName(req.Op), len(trailer))
+			return Request{}, fmt.Errorf("wire: ELECTEPOCH trailer %d bytes, want 0 or 4", len(trailer))
 		}
 	case OpRelease:
 		switch len(trailer) {
@@ -444,7 +429,7 @@ func TokenPayload(tok uint64) []byte {
 }
 
 // ParseTokenPayload decodes a u64 payload; ok is false for any other
-// shape (including the empty v1 payload).
+// shape (including the empty payload).
 func ParseTokenPayload(p []byte) (tok uint64, ok bool) {
 	if len(p) != 8 {
 		return 0, false
@@ -463,22 +448,18 @@ func ElectPayload(leader bool, epoch uint64) []byte {
 	return b
 }
 
-// ParseElectPayload decodes an ELECTEPOCH answer; it also accepts the
-// 1-byte v1 ELECT payload (epoch reported as 0).
+// ParseElectPayload decodes an ELECTEPOCH answer; ok is false for any
+// other shape.
 func ParseElectPayload(p []byte) (leader bool, epoch uint64, ok bool) {
-	switch len(p) {
-	case 1:
-		return p[0] == ElectLeader, 0, true
-	case 9:
-		return p[0] == ElectLeader, binary.BigEndian.Uint64(p[1:]), true
-	default:
+	if len(p) != 9 {
 		return false, 0, false
 	}
+	return p[0] == ElectLeader, binary.BigEndian.Uint64(p[1:]), true
 }
 
-// BusyPayload encodes a v3 shed answer: the server's suggested retry
-// delay in milliseconds (0 means no suggestion, encoded empty so the
-// frame stays byte-identical to a v1/v2 probe-loss BUSY).
+// BusyPayload encodes a shed answer: the server's suggested retry
+// delay in milliseconds (0 means no suggestion, encoded empty like a
+// probe-loss BUSY).
 func BusyPayload(retryAfterMillis uint32) []byte {
 	if retryAfterMillis == 0 {
 		return nil
@@ -488,9 +469,9 @@ func BusyPayload(retryAfterMillis uint32) []byte {
 	return b[:]
 }
 
-// ParseBusyPayload decodes a BUSY payload. The empty payload (a v1/v2
-// probe loss, or a shed with no suggestion) decodes as (0, true); any
-// shape other than empty or u32 is rejected.
+// ParseBusyPayload decodes a BUSY payload. The empty payload (a probe
+// loss, or a shed with no suggestion) decodes as (0, true); any shape
+// other than empty or u32 is rejected.
 func ParseBusyPayload(p []byte) (retryAfterMillis uint32, ok bool) {
 	switch len(p) {
 	case 0:
@@ -502,7 +483,7 @@ func ParseBusyPayload(p []byte) (retryAfterMillis uint32, ok bool) {
 	}
 }
 
-// HelloPayload encodes the server's negotiated version.
+// HelloPayload encodes the version a HELLO answer reports.
 func HelloPayload(version uint32) []byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], version)
@@ -522,7 +503,7 @@ func ParseHelloPayload(p []byte) (version uint32, ok bool) {
 // ArenaShardStats, NamedStats) so a dashboard scraping tasd sees the
 // same numbers a linked-in consumer would.
 type Stats struct {
-	// ProtocolVersion is the highest protocol version the server speaks.
+	// ProtocolVersion is the protocol version the server speaks.
 	ProtocolVersion int `json:"protocol_version"`
 	// UptimeSeconds since the server started listening.
 	UptimeSeconds float64 `json:"uptime_seconds"`

@@ -10,9 +10,9 @@ import (
 )
 
 // TestRequestRoundTrip: every opcode survives encode→decode, including
-// the empty name, the maximum name, and the v2 trailers (lease TTLs,
-// fencing tokens, epochs, HELLO versions). v1-shaped frames (zero
-// trailer fields) must decode back to themselves byte-compatibly.
+// the empty name, the maximum name, and the trailers (lease TTLs,
+// fencing tokens, epochs, HELLO versions). Frames with zero trailer
+// fields (trailer omitted) must decode back to themselves.
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpAcquire, ID: 1, Name: "build-cache"},
@@ -21,7 +21,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpTryAcquire, ID: 3, Name: "leased", TTLMillis: 1},
 		{Op: OpRelease, ID: 7, Name: "x"},
 		{Op: OpRelease, ID: 8, Name: "x", Token: 0xdeadbeefcafe},
-		{Op: OpElect, ID: 42, Name: strings.Repeat("n", MaxName)},
+		{Op: OpElectEpoch, ID: 42, Name: strings.Repeat("n", MaxName)},
 		{Op: OpElectEpoch, ID: 43, Name: "leader/x"},
 		{Op: OpElectReset, ID: 44, Name: "leader/x", Epoch: 12},
 		{Op: OpHello, ID: 0, Version: Version},
@@ -56,7 +56,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusOK, ID: 1},
 		{Status: StatusBusy, ID: 2},
 		{Status: StatusError, ID: 3, Payload: []byte("not held")},
-		{Status: StatusOK, ID: 4, Payload: []byte{ElectLeader}},
+		{Status: StatusOK, ID: 4, Payload: ElectPayload(true, 7)},
 	}
 	var buf []byte
 	for _, r := range resps {
@@ -98,13 +98,12 @@ func TestNameTooLong(t *testing.T) {
 }
 
 // TestV3WaitTrailers: every blocking-capable op round-trips its waitMs
-// trailer, and the wait-free encodings stay byte-identical to v2.
+// trailer, and the wait-free encodings omit the wait field.
 func TestV3WaitTrailers(t *testing.T) {
 	reqs := []Request{
 		{Op: OpAcquire, ID: 1, Name: "w", WaitMillis: 250},
 		{Op: OpAcquire, ID: 2, Name: "w", TTLMillis: 1500, WaitMillis: 250},
 		{Op: OpTryAcquire, ID: 3, Name: "w", WaitMillis: 10},
-		{Op: OpElect, ID: 4, Name: "e", WaitMillis: 80},
 		{Op: OpElectEpoch, ID: 5, Name: "e", WaitMillis: 80},
 		{Op: OpElectReset, ID: 6, Name: "e", Epoch: 9, WaitMillis: 80},
 	}
@@ -135,13 +134,13 @@ func TestV3WaitTrailers(t *testing.T) {
 	if want := 4 + 6 + 1 + 8; len(one) != want {
 		t.Fatalf("wait-only ACQUIRE is %d bytes, want %d", len(one), want)
 	}
-	// Zero wait keeps the v2 shape.
-	v2, err := AppendRequest(nil, Request{Op: OpAcquire, ID: 1, Name: "w", TTLMillis: 9})
+	// Zero wait keeps the 4-byte TTL-only trailer.
+	ttlOnly, err := AppendRequest(nil, Request{Op: OpAcquire, ID: 1, Name: "w", TTLMillis: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4 + 6 + 1 + 4; len(v2) != want {
-		t.Fatalf("wait-free leased ACQUIRE is %d bytes, want %d (v2 shape)", len(v2), want)
+	if want := 4 + 6 + 1 + 4; len(ttlOnly) != want {
+		t.Fatalf("wait-free leased ACQUIRE is %d bytes, want %d (TTL-only trailer)", len(ttlOnly), want)
 	}
 	// A 5-byte ACQUIRE trailer is a protocol error, not a zeroed decode.
 	bad, err := AppendRequest(nil, Request{Op: OpAcquire, ID: 1, Name: "w", TTLMillis: 1, WaitMillis: 1})
@@ -156,11 +155,11 @@ func TestV3WaitTrailers(t *testing.T) {
 }
 
 // TestBusyPayload: the retry-after suggestion round-trips; the empty
-// v1/v2 probe-loss payload parses as "no suggestion"; foreign shapes
+// probe-loss payload parses as "no suggestion"; foreign shapes
 // are rejected.
 func TestBusyPayload(t *testing.T) {
 	if p := BusyPayload(0); p != nil {
-		t.Fatalf("BusyPayload(0) = %v, want nil (v1/v2-identical frame)", p)
+		t.Fatalf("BusyPayload(0) = %v, want nil (same frame as a probe loss)", p)
 	}
 	if ms, ok := ParseBusyPayload(BusyPayload(750)); !ok || ms != 750 {
 		t.Fatalf("busy round trip = (%d, %v)", ms, ok)
@@ -268,9 +267,9 @@ func TestPayloadHelpers(t *testing.T) {
 	if leader, epoch, ok := ParseElectPayload(ElectPayload(true, 42)); !ok || !leader || epoch != 42 {
 		t.Fatalf("elect round trip = (%v, %d, %v)", leader, epoch, ok)
 	}
-	// The 1-byte v1 ELECT payload still parses, epoch 0.
-	if leader, epoch, ok := ParseElectPayload([]byte{ElectLeader}); !ok || !leader || epoch != 0 {
-		t.Fatalf("v1 elect payload = (%v, %d, %v)", leader, epoch, ok)
+	// The retired 1-byte ELECT payload is a foreign shape.
+	if _, _, ok := ParseElectPayload([]byte{ElectLeader}); ok {
+		t.Fatal("1-byte elect payload accepted")
 	}
 	if _, _, ok := ParseElectPayload([]byte{1, 2}); ok {
 		t.Fatal("2-byte elect payload accepted")
@@ -282,7 +281,7 @@ func TestPayloadHelpers(t *testing.T) {
 		t.Fatal("short hello payload accepted")
 	}
 	if StatusName(StatusFenced) != "FENCED" || OpName(OpElectEpoch) != "ELECTEPOCH" {
-		t.Fatal("mnemonics missing for v2 codes")
+		t.Fatal("mnemonics missing for FENCED or ELECTEPOCH")
 	}
 }
 

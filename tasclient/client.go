@@ -4,12 +4,12 @@
 // A Client is one participant of the lock service: the server dedicates
 // one process slot of its arena to the connection, so each client maps
 // to one "process" of the underlying Giakkoupis–Woelfel algorithms.
-// Dialing negotiates the protocol version with a HELLO frame (falling
-// back transparently to v1 against an old daemon). The synchronous
-// methods (Acquire, TryAcquire, Release, Elect, ResetElection, Stats)
-// issue one request and await its response; Do submits a pipelined
-// batch — all requests in one write, all responses in one pass — which
-// the server likewise turns around as a single batch.
+// Dialing opens with a HELLO handshake and refuses a server that does
+// not speak protocol wire.Version. The synchronous methods (Acquire,
+// TryAcquire, Release, Elect, ResetElection, Stats) issue one request
+// and await its response; Do submits a pipelined batch — all requests
+// in one write, all responses in one pass — which the server likewise
+// turns around as a single batch.
 //
 // # Fencing and leases
 //
@@ -22,12 +22,12 @@
 // retires an epoch so the name can elect a fresh leader, fenced by the
 // epoch number.
 //
-// # Overload (protocol v3)
+// # Overload
 //
-// On a v3 connection the client propagates its context deadline to the
-// server as the ACQUIRE's remaining wait budget, so the server can stop
-// electing on behalf of a caller that already gave up — and an
-// overloaded server may refuse to queue an ACQUIRE at all. Both cases
+// The client propagates its context deadline to the server as the
+// ACQUIRE's remaining wait budget, so the server can stop electing on
+// behalf of a caller that already gave up — and an overloaded server
+// may refuse to queue an ACQUIRE at all. Both cases
 // surface as ErrBusy (check with errors.Is; errors.As against
 // *BusyError recovers the server's suggested retry delay). AcquireRetry
 // wraps the loop: it honors the retry-after suggestion with seeded
@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -133,16 +132,17 @@ type Op struct {
 	// lease; rounded up to a millisecond), or the renewed lease for
 	// OpExtend (required positive there).
 	TTL time.Duration
-	// Token is the fencing token for OpRelease (0 = let the server use
-	// its own record, the v1 behavior) and for OpExtend (required).
+	// Token is the fencing token for OpRelease (0 = release the grant
+	// the server recorded for this connection) and for OpExtend
+	// (required).
 	Token Token
 	// Epoch is the compare-and-bump guard for OpElectReset.
 	Epoch uint64
 	// Wait is an explicit server-side wait budget for OpAcquire,
-	// OpTryAcquire and the election ops (rounded up to a millisecond;
-	// requires a v3 server): the server answers — grant, BUSY, or abort
-	// — within roughly this long. 0 defers to the batch context's
-	// deadline, which is propagated automatically on v3 connections.
+	// OpTryAcquire and the election ops (rounded up to a millisecond):
+	// the server answers — grant, BUSY, or abort — within roughly this
+	// long. 0 defers to the batch context's deadline, which is
+	// propagated automatically.
 	Wait time.Duration
 }
 
@@ -151,7 +151,6 @@ const (
 	OpAcquire    = wire.OpAcquire
 	OpTryAcquire = wire.OpTryAcquire
 	OpRelease    = wire.OpRelease
-	OpElect      = wire.OpElect
 	OpStats      = wire.OpStats
 	OpElectEpoch = wire.OpElectEpoch
 	OpElectReset = wire.OpElectReset
@@ -163,20 +162,20 @@ type Result struct {
 	// OK reports plain success: the lock was acquired or released, the
 	// election ran, the stats arrived.
 	OK bool
-	// Busy reports a lost TRYACQUIRE probe, or (protocol v3) an ACQUIRE
-	// the server shed under overload or deadline expiry (OK is false).
+	// Busy reports a lost TRYACQUIRE probe, or an ACQUIRE the server
+	// shed under overload or deadline expiry (OK is false).
 	Busy bool
-	// RetryAfter is the server's suggested retry delay on a v3 Busy
-	// answer (0 when none was offered).
+	// RetryAfter is the server's suggested retry delay on a Busy answer
+	// (0 when none was offered).
 	RetryAfter time.Duration
 	// Fenced reports a superseded token or epoch (OK is false); Token
 	// carries the current fence the server answered with.
 	Fenced bool
-	// Leader reports an ELECT/ELECTEPOCH win (meaningful when OK).
+	// Leader reports an ELECTEPOCH win (meaningful when OK).
 	Leader bool
-	// Token is the granted fencing token (ACQUIRE/TRYACQUIRE on a v2
-	// connection), the current epoch (ELECTRESET), or the fence that
-	// superseded the caller (Fenced responses).
+	// Token is the granted fencing token (ACQUIRE/TRYACQUIRE), the
+	// current epoch (ELECTRESET), or the fence that superseded the
+	// caller (Fenced responses).
 	Token Token
 	// Epoch is the election epoch participated in (OpElectEpoch).
 	Epoch uint64
@@ -193,14 +192,13 @@ type Stats = wire.Stats
 // Client is one connection to a tasd server. Not safe for concurrent
 // use; see the package comment.
 type Client struct {
-	nc      net.Conn
-	br      *bufio.Reader
-	nextID  uint32
-	wbuf    []byte
-	version uint32
-	broken  error
-	clock   dst.Clock
-	jitter  rng.SplitMix64 // KeepAlive retry jitter; see SetBackoffSeed
+	nc     net.Conn
+	br     *bufio.Reader
+	nextID uint32
+	wbuf   []byte
+	broken error
+	clock  dst.Clock
+	jitter rng.SplitMix64 // KeepAlive retry jitter; see SetBackoffSeed
 }
 
 // clientSeq decorrelates the default KeepAlive jitter streams of clients
@@ -214,35 +212,19 @@ func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr)
 }
 
-// DialTimeout is Dial with a connection timeout (0 = none).
-//
-// Deprecated: use DialContext with a deadline.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return DialContext(ctx, addr)
-}
-
-// DialContext connects to a tasd server at addr ("host:port") and
-// negotiates the protocol version with a HELLO frame. A pre-v2 daemon
-// rejects HELLO and closes the connection, so the client transparently
-// redials once and proceeds in v1 mode (no leases, no tokens on the
-// wire — Version reports what was agreed).
+// DialContext connects to a tasd server at addr ("host:port") and runs
+// the HELLO handshake (see NewClientConn).
 //
 // When ctx carries no deadline of its own, the whole exchange — TCP
-// connect, HELLO, the v1 fallback redial — is bounded by
-// HandshakeTimeout, so a black-holed endpoint (connect accepted by the
-// listen backlog, nothing ever answering) surfaces as
-// ErrHandshakeTimeout instead of hanging forever.
+// connect and HELLO — is bounded by HandshakeTimeout, so a black-holed
+// endpoint (connect accepted by the listen backlog, nothing ever
+// answering) surfaces as ErrHandshakeTimeout instead of hanging
+// forever.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if _, ok := ctx.Deadline(); !ok && HandshakeTimeout > 0 {
 		hctx, cancel := context.WithTimeout(ctx, HandshakeTimeout)
 		defer cancel()
-		c, err := dialHello(hctx, addr)
+		c, err := dial(hctx, addr)
 		// hctx holds the only deadline in play, but the conn's read
 		// deadline (derived from it) can fire a beat before the context
 		// timer flips — a deadline-flavored error here is the handshake
@@ -253,49 +235,10 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 		}
 		return c, err
 	}
-	return dialHello(ctx, addr)
+	return dial(ctx, addr)
 }
 
-func dialHello(ctx context.Context, addr string) (*Client, error) {
-	c, err := dialRaw(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.do(ctx, []Op{{Code: wire.OpHello}})
-	if err == nil && res[0].OK {
-		if v, ok := wire.ParseHelloPayload(res[0].Payload); ok && v >= 1 {
-			c.version = v
-			return c, nil
-		}
-		c.nc.Close()
-		return nil, fmt.Errorf("tasclient: malformed HELLO response")
-	}
-	c.nc.Close()
-	if err == nil && res[0].Err != "" {
-		// A pre-v2 server rejects HELLO one of two ways, then hangs up:
-		// its strict v1 frame check trips on the 4-byte version trailer
-		// ("protocol error: wire: request frame …"), or — were the
-		// trailer ever dropped — the opcode itself is foreign ("unknown
-		// opcode 6"). Either way, fall back to protocol v1 on a fresh
-		// connection. Anything else ("server full: …") is a real
-		// refusal to surface.
-		if strings.HasPrefix(res[0].Err, "unknown opcode") || strings.HasPrefix(res[0].Err, "protocol error") {
-			c2, err2 := dialRaw(ctx, addr)
-			if err2 != nil {
-				return nil, err2
-			}
-			c2.version = 1
-			return c2, nil
-		}
-		return nil, fmt.Errorf("tasclient: %s", res[0].Err)
-	}
-	if err == nil {
-		err = fmt.Errorf("tasclient: unexpected HELLO status")
-	}
-	return nil, err
-}
-
-func dialRaw(ctx context.Context, addr string) (*Client, error) {
+func dial(ctx context.Context, addr string) (*Client, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -304,35 +247,43 @@ func dialRaw(ctx context.Context, addr string) (*Client, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // request frames are tiny; don't wait to coalesce
 	}
-	return &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), version: wire.Version, clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}, nil
+	return NewClientConn(ctx, nc)
 }
 
 // NewClientConn speaks the tasd protocol over an existing connection —
 // the injection point for the deterministic-simulation fabric (or any
-// custom transport). Unlike DialContext there is no v1 redial fallback:
-// the transport cannot be redialed here, so a server that rejects HELLO
-// surfaces as an error.
+// custom transport). It sends HELLO and requires the answer to be
+// wire.Version; a refusal, a malformed answer or any other version
+// closes nc and returns an error.
 func NewClientConn(ctx context.Context, nc net.Conn) (*Client, error) {
-	c := &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), version: wire.Version, clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}
+	c := &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}
 	res, err := c.do(ctx, []Op{{Code: wire.OpHello}})
+	if err == nil {
+		err = helloErr(res[0])
+	}
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	if !res[0].OK {
-		nc.Close()
-		if res[0].Err != "" {
-			return nil, fmt.Errorf("tasclient: %s", res[0].Err)
-		}
-		return nil, fmt.Errorf("tasclient: unexpected HELLO status")
-	}
-	v, ok := wire.ParseHelloPayload(res[0].Payload)
-	if !ok || v < 1 {
-		nc.Close()
-		return nil, fmt.Errorf("tasclient: malformed HELLO response")
-	}
-	c.version = v
 	return c, nil
+}
+
+// helloErr checks a HELLO answer: OK carrying exactly wire.Version.
+func helloErr(r Result) error {
+	switch {
+	case r.Err != "":
+		return fmt.Errorf("tasclient: %s", r.Err)
+	case !r.OK:
+		return fmt.Errorf("tasclient: unexpected HELLO status")
+	}
+	v, ok := wire.ParseHelloPayload(r.Payload)
+	if !ok {
+		return fmt.Errorf("tasclient: malformed HELLO response")
+	}
+	if v != wire.Version {
+		return fmt.Errorf("tasclient: server speaks protocol v%d, client requires v%d", v, wire.Version)
+	}
+	return nil
 }
 
 // SetClock swaps the clock KeepAlive paces its heartbeats with (nil
@@ -351,8 +302,9 @@ func (c *Client) SetClock(clk dst.Clock) {
 // SetClock) so retry timing replays byte-identically.
 func (c *Client) SetBackoffSeed(seed uint64) { c.jitter = rng.New(seed) }
 
-// Version reports the negotiated protocol version.
-func (c *Client) Version() int { return int(c.version) }
+// Version reports the protocol version the connection speaks: always
+// wire.Version, since the handshake refuses any other.
+func (c *Client) Version() int { return wire.Version }
 
 // Close closes the connection. Locks still held by this client are
 // recovered (released) by the server.
@@ -408,16 +360,14 @@ func (c *Client) do(ctx context.Context, ops []Op) ([]Result, error) {
 	}
 	disarm := c.arm(ctx)
 	defer disarm()
-	// On a v3 connection the batch context's deadline rides along as each
-	// waitable op's server-side budget, so the server stops electing for
-	// a caller that already gave up instead of discovering the fact from
-	// a dead connection.
+	// The batch context's deadline rides along as each waitable op's
+	// server-side budget, so the server stops electing for a caller that
+	// already gave up instead of discovering the fact from a dead
+	// connection.
 	var ctxWait uint32
-	if c.version >= 3 {
-		if d, ok := ctx.Deadline(); ok {
-			if rem := time.Until(d); rem > 0 {
-				ctxWait = clampWaitMillis(rem)
-			}
+	if d, ok := ctx.Deadline(); ok {
+		if rem := time.Until(d); rem > 0 {
+			ctxWait = clampWaitMillis(rem)
 		}
 	}
 	c.wbuf = c.wbuf[:0]
@@ -440,11 +390,8 @@ func (c *Client) do(ctx context.Context, ops []Op) ([]Result, error) {
 			req.TTLMillis = uint32(ms)
 		}
 		switch op.Code {
-		case OpAcquire, OpTryAcquire, OpElect, OpElectEpoch, OpElectReset:
+		case OpAcquire, OpTryAcquire, OpElectEpoch, OpElectReset:
 			if op.Wait > 0 {
-				if c.version < 3 {
-					return nil, fmt.Errorf("tasclient: wait budgets need protocol v3, server negotiated v%d", c.version)
-				}
 				req.WaitMillis = clampWaitMillis(op.Wait)
 			} else {
 				req.WaitMillis = ctxWait
@@ -474,11 +421,20 @@ func (c *Client) do(ctx context.Context, ops []Op) ([]Result, error) {
 		case wire.StatusOK:
 			r.OK = true
 			switch ops[i].Code {
-			case OpAcquire, OpTryAcquire, OpElectReset, OpExtend:
+			case OpAcquire, OpTryAcquire:
+				// Every grant carries its fencing token. A grant without
+				// one would make a later Release(…, 0) skip fencing, so it
+				// is a protocol violation, not a zero token.
+				tok, ok := wire.ParseTokenPayload(resp.Payload)
+				if !ok || tok == 0 {
+					return nil, c.fail(ctx, fmt.Errorf("tasclient: %s %q granted without a fencing token (%d-byte payload)", wire.OpName(ops[i].Code), ops[i].Name, len(resp.Payload)))
+				}
+				r.Token = tok
+			case OpElectReset, OpExtend:
 				if tok, ok := wire.ParseTokenPayload(resp.Payload); ok {
 					r.Token = tok
 				}
-			case OpElect, OpElectEpoch:
+			case OpElectEpoch:
 				if leader, epoch, ok := wire.ParseElectPayload(resp.Payload); ok {
 					r.Leader, r.Epoch = leader, epoch
 				}
@@ -540,11 +496,8 @@ func (c *Client) one(ctx context.Context, op Op) (Result, error) {
 // done) and returns the grant's fencing token. A positive ttl attaches
 // a lease: if this client then neither releases nor disconnects within
 // ttl, the server expires the grant — waiters proceed, and this
-// client's Release answers ErrFenced. ttl requires a v2 server.
+// client's Release answers ErrFenced.
 func (c *Client) Acquire(ctx context.Context, name string, ttl time.Duration) (Token, error) {
-	if err := c.checkLease(ttl); err != nil {
-		return 0, err
-	}
 	res, err := c.one(ctx, Op{Code: OpAcquire, Name: name, TTL: ttl})
 	if err != nil {
 		return 0, err
@@ -556,11 +509,8 @@ func (c *Client) Acquire(ctx context.Context, name string, ttl time.Duration) (T
 // the server answers within roughly wait — the grant if the lock came
 // free in time, ErrBusy otherwise. Unlike a bare context deadline, the
 // refusal is a clean per-operation answer: the connection survives and
-// the next call proceeds on it. Requires a v3 server.
+// the next call proceeds on it.
 func (c *Client) AcquireWithin(ctx context.Context, name string, ttl, wait time.Duration) (Token, error) {
-	if err := c.checkLease(ttl); err != nil {
-		return 0, err
-	}
 	if wait <= 0 {
 		return 0, fmt.Errorf("tasclient: AcquireWithin requires a positive wait")
 	}
@@ -613,9 +563,6 @@ func (c *Client) AcquireRetry(ctx context.Context, name string, ttl time.Duratio
 // reporting the fencing token and whether it is now held. ttl behaves
 // as in Acquire.
 func (c *Client) TryAcquire(ctx context.Context, name string, ttl time.Duration) (Token, bool, error) {
-	if err := c.checkLease(ttl); err != nil {
-		return 0, false, err
-	}
 	res, err := c.one(ctx, Op{Code: OpTryAcquire, Name: name, TTL: ttl})
 	if err != nil {
 		return 0, false, err
@@ -623,17 +570,11 @@ func (c *Client) TryAcquire(ctx context.Context, name string, ttl time.Duration)
 	return res.Token, res.OK, nil
 }
 
-func (c *Client) checkLease(ttl time.Duration) error {
-	if ttl > 0 && c.version < 2 {
-		return fmt.Errorf("tasclient: lease TTLs need protocol v2, server negotiated v%d", c.version)
-	}
-	return nil
-}
-
 // Release releases the named lock, verifying tok against the grant the
 // server recorded. ErrFenced (check with errors.Is) means the token was
 // superseded — the lease expired, or tok belongs to an earlier grant.
-// Token 0 releases whatever the server recorded (the v1 behavior).
+// Token 0 releases whatever grant the server recorded for this
+// connection, without fencing.
 func (c *Client) Release(ctx context.Context, name string, tok Token) error {
 	_, err := c.one(ctx, Op{Code: OpRelease, Name: name, Token: tok})
 	return err
@@ -644,11 +585,8 @@ func (c *Client) Release(ctx context.Context, name string, tok Token) error {
 // connection-addressed — any client may renew any live grant it knows
 // the token of, so a heartbeat can run on its own connection. ErrFenced
 // means the grant is gone: the lease already expired, the lock was
-// released, or tok was never current. Requires a v2 server.
+// released, or tok was never current.
 func (c *Client) Extend(ctx context.Context, name string, tok Token, ttl time.Duration) error {
-	if c.version < 2 {
-		return fmt.Errorf("tasclient: Extend needs protocol v2, server negotiated v%d", c.version)
-	}
 	if tok == 0 || ttl <= 0 {
 		return fmt.Errorf("tasclient: Extend requires a fencing token and a positive TTL")
 	}
@@ -681,9 +619,6 @@ func (c *Client) Extend(ctx context.Context, name string, tok Token, ttl time.Du
 // closing the connection (the renewal then fails and KeepAlive
 // returns).
 func (c *Client) KeepAlive(ctx context.Context, name string, tok Token, ttl time.Duration) error {
-	if c.version < 2 {
-		return fmt.Errorf("tasclient: KeepAlive needs protocol v2, server negotiated v%d", c.version)
-	}
 	if tok == 0 || ttl <= 0 {
 		return fmt.Errorf("tasclient: KeepAlive requires a fencing token and a positive TTL")
 	}
@@ -772,15 +707,9 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 // Elect joins the named election's current epoch and reports whether
 // this client leads it, plus the epoch number (the leadership fencing
 // value). Within one epoch, repeating the call returns the same answer;
-// after a ResetElection the client participates afresh. Against a v1
-// server the epoch is always 0 and the election is decided once,
-// forever.
+// after a ResetElection the client participates afresh.
 func (c *Client) Elect(ctx context.Context, name string) (leader bool, epoch uint64, err error) {
-	code := byte(OpElectEpoch)
-	if c.version < 2 {
-		code = OpElect
-	}
-	res, err := c.one(ctx, Op{Code: code, Name: name})
+	res, err := c.one(ctx, Op{Code: OpElectEpoch, Name: name})
 	if err != nil {
 		return false, 0, err
 	}
@@ -791,11 +720,7 @@ func (c *Client) Elect(ctx context.Context, name string) (leader bool, epoch uin
 // the now-current one: the old epoch's leadership ends, a fresh
 // election opens, and every client may participate again. ErrFenced
 // means epoch was already reset past (the returned epoch is current).
-// Requires a v2 server.
 func (c *Client) ResetElection(ctx context.Context, name string, epoch uint64) (uint64, error) {
-	if c.version < 2 {
-		return 0, fmt.Errorf("tasclient: ResetElection needs protocol v2, server negotiated v%d", c.version)
-	}
 	res, err := c.one(ctx, Op{Code: OpElectReset, Name: name, Epoch: epoch})
 	if err != nil {
 		return res.Token, err

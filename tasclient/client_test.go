@@ -2,85 +2,15 @@ package tasclient
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
-
-// fakeV1Server accepts one connection at a time and mimics a PR 4
-// daemon's two HELLO-rejection shapes, then closes the connection —
-// followed by a plain v1 ACQUIRE/RELEASE service on the redial so the
-// fallback client can be exercised end to end.
-func fakeV1Server(t *testing.T, helloReply string) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		// First connection: reject the HELLO like an old server would.
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// The old server read-fails on the trailer before decoding the
-		// id, so it answers id 0 — match that.
-		nc.Write(wire.AppendResponse(nil, wire.Response{
-			Status: wire.StatusError, ID: 0, Payload: []byte(helloReply),
-		}))
-		nc.Close()
-		// Second connection: a minimal v1 lock service.
-		nc, err = ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		for {
-			req, err := wire.ReadRequest(nc, 0)
-			if err != nil {
-				return
-			}
-			resp := wire.Response{Status: wire.StatusOK, ID: req.ID}
-			if req.Op == wire.OpElect {
-				resp.Payload = []byte{wire.ElectLeader} // 1-byte v1 shape
-			}
-			nc.Write(wire.AppendResponse(nil, resp))
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestDialFallsBackToV1: both rejection messages a pre-v2 daemon can
-// produce for a HELLO frame trigger the transparent v1 redial, and the
-// fallback client speaks plain v1 (no trailers, no token payloads).
-func TestDialFallsBackToV1(t *testing.T) {
-	for _, reply := range []string{
-		"protocol error: wire: request frame 10 bytes, header says 6", // strict v1 length check
-		"unknown opcode 6", // hypothetical lenient decoder
-	} {
-		addr := fakeV1Server(t, reply)
-		c, err := DialContext(context.Background(), addr)
-		if err != nil {
-			t.Fatalf("fallback dial against %q: %v", reply, err)
-		}
-		if c.Version() != 1 {
-			t.Fatalf("negotiated v%d against a v1 server", c.Version())
-		}
-		tok, err := c.Acquire(context.Background(), "L", 0)
-		if err != nil || tok != 0 {
-			t.Fatalf("v1 Acquire = (%d, %v), want (0, nil) — no token on the old wire", tok, err)
-		}
-		if _, err := c.Acquire(context.Background(), "M", 1e9); err == nil {
-			t.Fatal("lease TTL accepted on a v1 connection")
-		}
-		if won, epoch, err := c.Elect(context.Background(), "E"); err != nil || !won || epoch != 0 {
-			t.Fatalf("v1 Elect = (%v, %d, %v), want (true, 0, nil)", won, epoch, err)
-		}
-		c.Close()
-	}
-}
 
 // TestDialSurfacesRealRefusals: a refusal that is not a version
 // mismatch (the old server's "server full" frame) must error, not fall
@@ -103,5 +33,55 @@ func TestDialSurfacesRealRefusals(t *testing.T) {
 	}()
 	if _, err := DialContext(context.Background(), ln.Addr().String()); err == nil {
 		t.Fatal("server-full refusal dialed successfully")
+	}
+}
+
+// TestDialRefusesOldServer: a server that answers HELLO with an older
+// protocol version fails the dial with an error naming both versions,
+// and the client does not redial.
+func TestDialRefusesOldServer(t *testing.T) {
+	s := newScriptedServer(t, 2, grant(1))
+	_, err := DialContext(context.Background(), s.addr)
+	if err == nil {
+		t.Fatal("dial against a v2 server succeeded")
+	}
+	for _, want := range []string{"v2", fmt.Sprintf("v%d", wire.Version)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("dial error %q does not name %s", err, want)
+		}
+	}
+	// A redial would show up as a second accepted connection.
+	time.Sleep(50 * time.Millisecond)
+	if n := s.accepts.Load(); n != 1 {
+		t.Fatalf("server accepted %d connections, want 1 (no redial)", n)
+	}
+}
+
+// TestGrantWithoutToken: an OK grant must carry its fencing token. An
+// empty payload fails the call and breaks the client, instead of
+// yielding token 0, which a later Release would send unfenced.
+func TestGrantWithoutToken(t *testing.T) {
+	s := newScriptedServer(t, wire.Version, func(int, wire.Request) wire.Response {
+		return wire.Response{Status: wire.StatusOK}
+	})
+	ctx := context.Background()
+	for _, acquire := range []func(*Client) (Token, error){
+		func(c *Client) (Token, error) { return c.Acquire(ctx, "L", 0) },
+		func(c *Client) (Token, error) {
+			tok, _, err := c.TryAcquire(ctx, "L", 0)
+			return tok, err
+		},
+	} {
+		c, err := DialContext(ctx, s.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tok, err := acquire(c); err == nil {
+			t.Fatalf("tokenless grant accepted as token %d", tok)
+		}
+		if err := c.Release(ctx, "L", 0); !errors.Is(err, ErrBroken) {
+			t.Fatalf("call after a tokenless grant = %v, want ErrBroken", err)
+		}
+		c.Close()
 	}
 }

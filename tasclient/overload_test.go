@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +16,11 @@ import (
 // HELLO answers version v, and each ACQUIRE is passed to handle, which
 // returns the response to send. Every other op answers plain OK. Each
 // received ACQUIRE's WaitMillis is appended to waits (single connection
-// at a time, so no locking).
+// at a time, so no locking); accepts counts connections.
 type scriptedServer struct {
-	addr  string
-	waits []uint32
+	addr    string
+	waits   []uint32
+	accepts atomic.Int32
 }
 
 func newScriptedServer(t *testing.T, v uint32, handle func(n int, req wire.Request) wire.Response) *scriptedServer {
@@ -36,6 +38,7 @@ func newScriptedServer(t *testing.T, v uint32, handle func(n int, req wire.Reque
 			if err != nil {
 				return
 			}
+			s.accepts.Add(1)
 			for {
 				req, err := wire.ReadRequest(nc, 0)
 				if err != nil {
@@ -190,10 +193,8 @@ func TestAcquireRetryStopsOnContext(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation: on a v3 connection the context's remaining
-// time rides along as the ACQUIRE's WaitMillis; an explicit Op.Wait
-// takes precedence; a v2 connection sends neither — and refuses an
-// explicit wait outright.
+// TestDeadlinePropagation: the context's remaining time rides along as
+// the ACQUIRE's WaitMillis, and an explicit Op.Wait takes precedence.
 func TestDeadlinePropagation(t *testing.T) {
 	s := newScriptedServer(t, 3, grant(1))
 	c, err := DialContext(context.Background(), s.addr)
@@ -234,27 +235,6 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	if w := s.waits[3]; w != 0 {
 		t.Fatalf("deadline-free WaitMillis = %d, want 0", w)
-	}
-
-	// A v2 server never sees a wait trailer, and an explicit wait is a
-	// client-side refusal.
-	s2 := newScriptedServer(t, 2, grant(1))
-	c2, err := DialContext(context.Background(), s2.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	ctx, cancel = context.WithTimeout(context.Background(), 500*time.Millisecond)
-	if _, err := c2.Acquire(ctx, "L", 0); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	if w := s2.waits[0]; w != 0 {
-		t.Fatalf("v2 connection put WaitMillis %d on the wire", w)
-	}
-	if _, err := c2.AcquireWithin(context.Background(), "L", 0, time.Second); err == nil ||
-		!strings.Contains(err.Error(), "protocol v3") {
-		t.Fatalf("explicit wait on v2 = %v, want a version refusal", err)
 	}
 }
 
