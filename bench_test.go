@@ -438,16 +438,16 @@ func BenchmarkSimStepOverhead(b *testing.B) {
 func BenchmarkMutex(b *testing.B) {
 	for _, algo := range []Algorithm{Combined, RatRace, AGTV} {
 		b.Run(algo.String(), func(b *testing.B) {
-			benchMutexWorkload(b, algo, false)
+			benchMutexWorkload(b, algo)
 		})
 	}
 }
 
-// benchMutexWorkload is the shared Lock/Unlock workload of BenchmarkMutex
-// and BenchmarkMutexBaseline, so the A/B pair can never drift apart.
-func benchMutexWorkload(b *testing.B, algo Algorithm, noFastPath bool) {
+// benchMutexWorkload is BenchmarkMutex's Lock/Unlock workload for one
+// algorithm.
+func benchMutexWorkload(b *testing.B, algo Algorithm) {
 	n := 2 * runtime.GOMAXPROCS(0) // ids for however many workers RunParallel spawns
-	m, err := NewMutex(ArenaOptions{Options: Options{N: n, Algorithm: algo, Seed: 1}, NoFastPath: noFastPath})
+	m, err := NewMutex(ArenaOptions{Options: Options{N: n, Algorithm: algo, Seed: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -482,19 +482,6 @@ func benchMutexWorkload(b *testing.B, algo Algorithm, noFastPath bool) {
 	st := m.Stats()
 	b.ReportMetric(float64(st.Contended)/float64(b.N), "lostTAS/op")
 	b.ReportMetric(float64(m.m.Arena().TotalStats().Slots), "slots")
-}
-
-// E14a — the same workload as BenchmarkMutex on the portable baseline
-// paths (ArenaOptions.NoFastPath: interface-dispatched steps, no
-// uncontended doorway, full-footprint resets). The gap between this and
-// BenchmarkMutex is the fast-path overhaul, measurable inside one
-// binary; cmd/tasbench -mode=compare reports the same A/B as JSON.
-func BenchmarkMutexBaseline(b *testing.B) {
-	for _, algo := range []Algorithm{Combined, RatRace, AGTV} {
-		b.Run(algo.String(), func(b *testing.B) {
-			benchMutexWorkload(b, algo, true)
-		})
-	}
 }
 
 // Register-bank recycling in isolation: a 512-register space with 8

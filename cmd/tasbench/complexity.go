@@ -16,8 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/agtv"
 	"repro/internal/complexity"
@@ -29,12 +27,10 @@ import (
 )
 
 type complexityConfig struct {
-	seed      int64
-	trials    int
-	quick     bool
-	out       string
-	benchPre  string // "name=ns,..." committed baseline for the bench guard
-	benchPost string // same shape, measured with counters disabled
+	seed   int64
+	trials int
+	quick  bool
+	out    string
 }
 
 // tasElector adapts a TAS object to the harness's Elector interface: the
@@ -109,29 +105,14 @@ type seriesJSON struct {
 	Pass         bool        `json:"pass"`
 }
 
-type benchGuardJSON struct {
-	PreNsPerOp  map[string]float64 `json:"pre_ns_per_op,omitempty"`
-	PostNsPerOp map[string]float64 `json:"post_ns_per_op,omitempty"`
-	MaxRatio    float64            `json:"max_ratio,omitempty"`
-	Threshold   float64            `json:"threshold"`
-	Pass        bool               `json:"pass"`
-}
-
 type complexityReport struct {
-	Schema     string          `json:"schema"`
-	Seed       int64           `json:"seed"`
-	Trials     int             `json:"trials"`
-	Ns         []int           `json:"ns"`
-	Series     []seriesJSON    `json:"series"`
-	GatePass   bool            `json:"gate_pass"`
-	BenchGuard *benchGuardJSON `json:"bench_guard,omitempty"`
+	Schema   string       `json:"schema"`
+	Seed     int64        `json:"seed"`
+	Trials   int          `json:"trials"`
+	Ns       []int        `json:"ns"`
+	Series   []seriesJSON `json:"series"`
+	GatePass bool         `json:"gate_pass"`
 }
-
-// guardThreshold is the generous counters-off regression bound for the
-// embedded benchmark guard: ns/op ratios are noisy across runs and
-// machines, so only a gross regression (hot loops accidentally paying for
-// accounting) should trip it.
-const guardThreshold = 1.5
 
 func runComplexity(cfg complexityConfig) error {
 	maxN := 512
@@ -246,19 +227,6 @@ func runComplexity(cfg complexityConfig) error {
 		})
 	}
 
-	guard, err := buildBenchGuard(cfg.benchPre, cfg.benchPost)
-	if err != nil {
-		return err
-	}
-	if guard != nil {
-		report.BenchGuard = guard
-		fmt.Printf("bench guard: max counters-off ratio %.3f (threshold %.2f) — %s\n",
-			guard.MaxRatio, guard.Threshold, passWord(guard.Pass))
-		if !guard.Pass {
-			report.GatePass = false
-		}
-	}
-
 	if cfg.out != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -296,55 +264,4 @@ func toFitJSON(r complexity.Result) fitJSON {
 		A:     r.BestFit.A, B: r.BestFit.B,
 		NRMSE: r.BestFit.NRMSE, Margin: r.Margin, Ambiguous: r.Ambiguous,
 	}
-}
-
-// buildBenchGuard embeds the counters-off benchmark numbers (satellite
-// guard): pre is the committed PR 8 baseline, post the post-change
-// measurement. Both are "name=ns,..." lists; the guard fails on a gross
-// regression only (see guardThreshold).
-func buildBenchGuard(pre, post string) (*benchGuardJSON, error) {
-	if pre == "" && post == "" {
-		return nil, nil
-	}
-	preM, err := parseNsMap(pre)
-	if err != nil {
-		return nil, fmt.Errorf("-benchpre: %w", err)
-	}
-	postM, err := parseNsMap(post)
-	if err != nil {
-		return nil, fmt.Errorf("-benchpost: %w", err)
-	}
-	g := &benchGuardJSON{PreNsPerOp: preM, PostNsPerOp: postM, Threshold: guardThreshold, Pass: true}
-	for name, preNs := range preM {
-		postNs, ok := postM[name]
-		if !ok || preNs <= 0 {
-			continue
-		}
-		if r := postNs / preNs; r > g.MaxRatio {
-			g.MaxRatio = r
-		}
-	}
-	if g.MaxRatio > guardThreshold {
-		g.Pass = false
-	}
-	return g, nil
-}
-
-func parseNsMap(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	m := make(map[string]float64)
-	for _, pair := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad entry %q (want name=ns)", pair)
-		}
-		ns, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %v", pair, err)
-		}
-		m[name] = ns
-	}
-	return m, nil
 }

@@ -1,33 +1,28 @@
 // Command tasbench regenerates every experiment table of the reproduction
-// (see EXPERIMENTS.md for the experiment ↔ theorem mapping) and, in
-// throughput mode, load-tests the reusable arena-backed Mutex.
+// (E1–E11; the experiments list in main pairs each with its theorem),
+// load-tests the tasd lock service, runs the deterministic whole-service
+// simulation and gates the paper's complexity bounds.
 //
 // Usage:
 //
 //	tasbench [-mode=experiments] [-experiment all|E1|E2|...] [-trials N] [-seed S] [-quick]
-//	tasbench -mode=throughput [-goroutines G] [-duration D] [-algos a,b,c]
-//	         [-shards S] [-prealloc P] [-work W] [-seed S]
-//	tasbench -mode=compare [-goroutines G] [-duration D] [-algos a,b,c]
-//	         [-shards S] [-prealloc P] [-work W]
-//	         [-out BENCH_PR2.json] [-preref algo=ns,...]
-//	tasbench -mode=simcompare [-simtrials N] [-simout BENCH_PR3.json] [-simpreref NS]
 //	tasbench -mode=net [-scenario pairs|churn|storm|disconnect|flood]
 //	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-wait D]
 //	         [-addr host:port] [-netout BENCH_PR8.json] [-netfloor OPS]
+//	tasbench -mode=hold [-addr host:port] [-holdlock NAME] [-ttl TTL] [-holdfor D]
 //	tasbench -mode=dst [-dstseeds N] [-seed S] [-dstscenario all|mixed|...]
 //	         [-dstops N] [-dstv]
-//	tasbench -mode=complexity [-trials N] [-seed S] [-quick]
-//	         [-cxout BENCH_PR9.json] [-benchpre name=ns,...] [-benchpost name=ns,...]
+//	tasbench -mode=complexity [-trials N] [-seed S] [-quick] [-cxout BENCH_PR9.json]
 //
 // Each experiment prints a fixed-width table whose *shape* (who wins, by
 // what growth rate, where crossovers fall) reproduces the corresponding
-// theorem of Giakkoupis & Woelfel (PODC 2012). Throughput mode (see
-// throughput.go) reports ops/sec, wait/hold percentiles, and steps/op of
-// sustained Lock/Unlock traffic on real goroutines; compare and
-// simcompare are the regression-gated before/after harnesses of the
-// PR 2 mutex fast path and the PR 3 simulator engine; net mode (see
-// net.go) load-tests the tasd lock daemon over loopback TCP and records
-// BENCH_PR4.json.
+// theorem of Giakkoupis & Woelfel (PODC 2012). Net mode (see net.go)
+// load-tests the tasd lock daemon over loopback TCP; hold mode is its
+// one-lock smoke client; dst mode (dst.go) replays a seed corpus of
+// simulated service runs; complexity mode (complexity.go) fits step and
+// RMR growth against the paper's bounds. The in-process mutex and the
+// simulator engine are measured end to end by the perfbench module
+// (bash perfbench/run.sh) and by go test -bench.
 package main
 
 import (
@@ -55,25 +50,13 @@ import (
 
 func main() {
 	var (
-		mode       = flag.String("mode", "experiments", "'experiments' (simulator tables), 'throughput' (real-goroutine Mutex load test), 'compare' (mutex fast-path before/after JSON), 'simcompare' (simulator engine before/after JSON), 'net' (tasd loopback load test) or 'dst' (deterministic whole-service simulation over a seed corpus)")
+		mode       = flag.String("mode", "experiments", "'experiments' (simulator tables), 'net' (tasd loopback load test), 'hold' (hold one tasd lock), 'dst' (deterministic whole-service simulation over a seed corpus) or 'complexity' (step/RMR growth-class gate)")
 		experiment = flag.String("experiment", "all", "experiment id (E1..E11) or 'all'")
 		trials     = flag.Int("trials", 100, "Monte-Carlo trials per table cell")
 		seed       = flag.Int64("seed", 1, "base random seed")
 		quick      = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 
-		goroutines = flag.Int("goroutines", 8, "throughput/compare: concurrent lockers")
-		duration   = flag.Duration("duration", 2*time.Second, "throughput/compare: load duration per algorithm")
-		algos      = flag.String("algos", "combined,logstar,ratrace,agtv", "throughput/compare: comma-separated algorithms")
-		shards     = flag.Int("shards", 0, "throughput/compare: arena shards (0 = default)")
-		prealloc   = flag.Int("prealloc", 0, "throughput/compare: preallocated slots per shard (0 = default)")
-		work       = flag.Int("work", 0, "throughput/compare: spin iterations inside the critical section")
-
-		out    = flag.String("out", "BENCH_PR2.json", "compare: mutex output JSON path")
-		preref = flag.String("preref", "", "compare: externally measured pre-PR ns/op, e.g. combined=35796,agtv=102")
-
-		simTrials = flag.Int("simtrials", 2000, "simcompare: trials for the sim-throughput section")
-		simOut    = flag.String("simout", "BENCH_PR3.json", "simcompare: sim-throughput output JSON path")
-		simPreRef = flag.Float64("simpreref", 0, "simcompare: externally measured pre-PR engine ns/trial on the sim cell")
+		duration = flag.Duration("duration", 2*time.Second, "net: load duration")
 
 		clients  = flag.Int("clients", 8, "net: concurrent client connections")
 		pipeline = flag.Int("pipeline", 16, "net: ACQUIRE/RELEASE pairs per pipelined batch")
@@ -89,9 +72,7 @@ func main() {
 		holdLock = flag.String("holdlock", "smoke/hold", "hold: lock name to acquire")
 		holdFor  = flag.Duration("holdfor", 0, "hold: how long to sit on the lock before releasing")
 
-		cxOut  = flag.String("cxout", "BENCH_PR9.json", "complexity: output JSON path ('' = no file)")
-		cxPre  = flag.String("benchpre", "", "complexity: committed counters-off baseline ns/op, e.g. mutex/combined=288.9,reset/full=7640")
-		cxPost = flag.String("benchpost", "", "complexity: post-change counters-off ns/op, same shape as -benchpre")
+		cxOut = flag.String("cxout", "BENCH_PR9.json", "complexity: output JSON path ('' = no file)")
 
 		dstSeeds    = flag.Int("dstseeds", 64, "dst: corpus size (seeds base, base+1, ...)")
 		dstScenario = flag.String("dstscenario", "all", "dst: scenario ('mixed', 'locks', 'chaos', 'elect', 'fuzz', 'abortstorm', 'overload') or 'all' to rotate")
@@ -103,12 +84,10 @@ func main() {
 	switch *mode {
 	case "complexity":
 		err := runComplexity(complexityConfig{
-			seed:      *seed,
-			trials:    *trials,
-			quick:     *quick,
-			out:       *cxOut,
-			benchPre:  *cxPre,
-			benchPost: *cxPost,
+			seed:   *seed,
+			trials: *trials,
+			quick:  *quick,
+			out:    *cxOut,
 		})
 		if err != nil {
 			fatalf("tasbench: %v", err)
@@ -142,7 +121,6 @@ func main() {
 			abandon:  *abandon,
 			wait:     *netWait,
 			addr:     *netAddr,
-			algos:    *algos,
 			seed:     *seed,
 			out:      *netOut,
 			floor:    *netFloor,
@@ -151,51 +129,10 @@ func main() {
 			fatalf("tasbench: %v", err)
 		}
 		return
-	case "simcompare":
-		err := runSimCompare(compareConfig{
-			seed:      *seed,
-			simTrials: *simTrials,
-			simOut:    *simOut,
-			simPreRef: *simPreRef,
-		})
-		if err != nil {
-			fatalf("tasbench: %v", err)
-		}
-		return
-	case "compare":
-		err := runCompare(compareConfig{
-			goroutines: *goroutines,
-			duration:   *duration,
-			algos:      *algos,
-			shards:     *shards,
-			prealloc:   *prealloc,
-			work:       *work,
-			seed:       *seed,
-			out:        *out,
-			preref:     *preref,
-		})
-		if err != nil {
-			fatalf("tasbench: %v", err)
-		}
-		return
-	case "throughput":
-		err := runThroughput(throughputConfig{
-			goroutines: *goroutines,
-			duration:   *duration,
-			algos:      *algos,
-			shards:     *shards,
-			prealloc:   *prealloc,
-			work:       *work,
-			seed:       *seed,
-		})
-		if err != nil {
-			fatalf("tasbench: %v", err)
-		}
-		return
 	case "experiments":
 		// fall through to the simulator tables below
 	default:
-		fatalf("tasbench: unknown -mode %q (want 'experiments', 'throughput', 'compare', 'simcompare', 'net', 'hold', 'dst' or 'complexity')", *mode)
+		fatalf("tasbench: unknown -mode %q (want 'experiments', 'net', 'hold', 'dst' or 'complexity')", *mode)
 	}
 
 	cfg := config{trials: *trials, seed: *seed, quick: *quick}

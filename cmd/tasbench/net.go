@@ -59,12 +59,13 @@
 //	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-ttl TTL]
 //	         [-abandon N] [-wait D] [-addr host:port]
 //	         [-netout BENCH_PR8.json]
-//	         [-netfloor OPS] [-algos combined,...] [-seed S]
+//	         [-netfloor OPS] [-seed S]
 //	tasbench -mode=hold [-addr host:port] [-holdlock NAME] [-ttl TTL]
 //	         [-holdfor D]
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -75,6 +76,7 @@ import (
 	"sync"
 	"time"
 
+	randtas "repro"
 	"repro/internal/harness"
 	"repro/internal/server"
 	"repro/tasclient"
@@ -90,7 +92,6 @@ type netConfig struct {
 	abandon  int           // churn: forget every Nth release
 	wait     time.Duration // flood: per-ACQUIRE server-side wait budget
 	addr     string        // "" = in-process loopback server
-	algos    string        // first entry picks the server algorithm
 	seed     int64
 	out      string
 	floor    float64 // minimum ops/sec gate (0 = off)
@@ -105,7 +106,9 @@ type netReport struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Note       string `json:"note"`
 
-	Algorithm string `json:"algorithm"`
+	// Algorithm is the in-process server's elector; empty with -addr,
+	// because STATS does not report a remote tasd's algorithm.
+	Algorithm string `json:"algorithm,omitempty"`
 	Scenario  string `json:"scenario"`
 	Clients   int    `json:"clients"`
 	Pipeline  int    `json:"pipeline_depth"`
@@ -156,6 +159,10 @@ type netReport struct {
 	FloorOpsPerSec float64 `json:"floor_ops_per_sec,omitempty"`
 }
 
+// sampleCap bounds per-worker latency sample memory; past the cap the
+// run keeps counting ops but stops recording new samples.
+const sampleCap = 1 << 18
+
 type netWorker struct {
 	pairs       int
 	fenced      int
@@ -188,15 +195,11 @@ func runNet(cfg netConfig) error {
 	if cfg.scenario == "flood" && cfg.wait <= 0 {
 		cfg.wait = 5 * time.Millisecond
 	}
-	algos, err := throughputAlgos(cfg.algos)
-	if err != nil {
-		return err
-	}
-	algo := algos[0]
-
 	addr := cfg.addr
+	algorithm := "" // STATS does not report a remote tasd's algorithm
 	var srv *server.Server
 	if addr == "" {
+		algorithm = randtas.Combined.String() // tasd's default -algo
 		// A slot per load connection plus slack for the stats probe; the
 		// disconnect storm churns through connections faster than the
 		// server reaps them, so it gets extra headroom.
@@ -207,7 +210,7 @@ func runNet(cfg netConfig) error {
 		scfg := server.Config{
 			Addr:       "127.0.0.1:0",
 			MaxClients: maxClients,
-			Algorithm:  algo,
+			Algorithm:  randtas.Combined,
 			Seed:       cfg.seed,
 		}
 		if cfg.scenario == "flood" {
@@ -220,6 +223,7 @@ func runNet(cfg netConfig) error {
 				scfg.MaxInflight = 4
 			}
 		}
+		var err error
 		srv, err = server.New(scfg)
 		if err != nil {
 			return err
@@ -377,7 +381,7 @@ func runNet(cfg netConfig) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "loopback load on tasd protocol v3: ops = ACQUIRE + RELEASE count; wait = round-trip of admitted ops; " +
 			"exclusion_verified = token-keyed server-side owner check clean; leases and wait budgets per the scenario",
-		Algorithm: algo.String(),
+		Algorithm: algorithm,
 		Scenario:  cfg.scenario,
 		Clients:   cfg.clients, Pipeline: cfg.pipeline, Locks: cfg.locks,
 		Duration:          elapsed.Round(time.Millisecond).String(),
@@ -429,7 +433,7 @@ func runNet(cfg netConfig) error {
 			"aborts = waiters cancelled through the elector; slots out = live arena slots after the run (one per lock).",
 		},
 	}
-	tbl.AddRow(algo.String(), cfg.scenario, ops, fmt.Sprintf("%.0f", opsPerSec),
+	tbl.AddRow(cmp.Or(algorithm, "remote"), cfg.scenario, ops, fmt.Sprintf("%.0f", opsPerSec),
 		percentile(rtts, 0.50).Round(time.Microsecond).String(),
 		percentile(rtts, 0.99).Round(time.Microsecond).String(),
 		rounds, st.LeaseExpirations, fenced, st.Aborts, outstanding, st.Violations)
@@ -761,4 +765,19 @@ func opLabel(op tasclient.Op) string {
 	default:
 		return op.Name
 	}
+}
+
+// percentile reads the p-quantile of d, which must be sorted.
+func percentile(d []time.Duration, p float64) time.Duration {
+	if len(d) == 0 {
+		return 0
+	}
+	i := int(p * float64(len(d)-1))
+	return d[i]
+}
+
+// fatalf prints to stderr and exits non-zero, so a failed run fails CI.
+func fatalf(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

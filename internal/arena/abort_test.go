@@ -10,16 +10,22 @@ import (
 	"time"
 )
 
+// abortRaceConfig is one mutex variant the abort protocol must hold on,
+// with whether its slots' TAS offers an abort protocol of its own.
+type abortRaceConfig struct {
+	cfg       Config
+	abortable bool
+}
+
 // abortRaceConfigs are the mutex variants the abort protocol must hold
-// on: the production fast path (doorway in front of the election), the
-// doorway-less fast path, and the plain portable mode, where the elector
-// offers no abort protocol and cancellation can only land between
-// rounds.
-func abortRaceConfigs(n int) map[string]Config {
-	return map[string]Config{
-		"doorway":   {N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory},
-		"nodoorway": {N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory, NoDoorway: true},
-		"plain":     {N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory, Plain: true},
+// on: the production fast path, whose doorway in front of the election
+// makes every TAS abortable, and the doorway-less fast path, where the
+// elector offers no abort protocol, TASFastAbortable falls back to
+// running to completion, and cancellation can only land between rounds.
+func abortRaceConfigs(n int) map[string]abortRaceConfig {
+	return map[string]abortRaceConfig{
+		"doorway":   {Config{N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory}, true},
+		"nodoorway": {Config{N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory, NoDoorway: true}, false},
 	}
 }
 
@@ -45,13 +51,16 @@ func TestAbortWinRace(t *testing.T) {
 		workers = 6
 		trials  = 120
 	)
-	for name, cfg := range abortRaceConfigs(workers) {
+	for name, rc := range abortRaceConfigs(workers) {
 		t.Run(name, func(t *testing.T) {
-			a, err := New(cfg)
+			a, err := New(rc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := NewMutex(a)
+			if got := m.cur.Load().slot.Obj.Abortable(); got != rc.abortable {
+				t.Fatalf("slot Obj.Abortable() = %v, want %v", got, rc.abortable)
+			}
 			procs := make([]*MutexProc, workers)
 			for i := range procs {
 				procs[i] = proc(m, i)

@@ -67,13 +67,6 @@ type Config struct {
 	// AGTV tournament, say) and the doorway's four extra steps would
 	// outweigh what it saves.
 	NoDoorway bool
-	// Plain forces the portable interface code paths everywhere: no
-	// doorway, interface-dispatched election steps, and full-footprint
-	// register resets on recycle instead of the dirty window. It exists
-	// so cmd/tasbench -mode=compare can measure the fast-path overhaul
-	// against its own baseline inside one binary; leave it false in
-	// production.
-	Plain bool
 	// CountRMRs builds every slot's register space with RMR accounting
 	// (concurrent.Config.CountRMRs): each process's handle then tallies
 	// remote memory references in the CC and DSM models alongside its
@@ -207,7 +200,6 @@ type Arena struct {
 	factory Factory
 	shards  []shard
 	doorway bool
-	plain   bool
 	acct    bool
 }
 
@@ -234,8 +226,7 @@ func New(cfg Config) (*Arena, error) {
 		n:       cfg.N,
 		factory: cfg.Factory,
 		shards:  make([]shard, shards),
-		doorway: !cfg.NoDoorway && !cfg.Plain,
-		plain:   cfg.Plain,
+		doorway: !cfg.NoDoorway,
 		acct:    cfg.CountRMRs,
 	}
 	for i := range a.shards {
@@ -298,11 +289,7 @@ func (a *Arena) Get(hint int) *Slot {
 // protocol enforces this with refcounts). A slot must not be Put twice
 // without an intervening Get.
 func (a *Arena) Put(s *Slot) {
-	if a.plain {
-		s.space.FullReset()
-	} else {
-		s.space.Reset()
-	}
+	s.space.Reset()
 	sh := &a.shards[s.shard]
 	sh.push(s)
 	sh.puts.Add(1)

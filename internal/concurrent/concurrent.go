@@ -290,10 +290,9 @@ func (s *Space) Reset() {
 }
 
 // FullReset unconditionally rewrites every register to its initial
-// value, ignoring the dirty window. It is the pre-optimization baseline
-// kept for apples-to-apples benchmarking (cmd/tasbench -mode=compare)
-// and as a debugging escape hatch; Reset is state-equivalent and
-// strictly cheaper.
+// value, ignoring the dirty window. It is the reference Reset is tested
+// and benchmarked against; Reset is state-equivalent and strictly
+// cheaper.
 func (s *Space) FullReset() {
 	if s.cfg.CountRMRs {
 		s.resetAccounting()

@@ -389,13 +389,6 @@ type ArenaOptions struct {
 	// arena.DefaultPrealloc). A Mutex recycles steadily with as few as
 	// two live slots.
 	Prealloc int
-	// NoFastPath disables the concurrent backend's fast-path machinery —
-	// the devirtualized step loops, the constant-step uncontended
-	// doorway, and the dirty-window register recycling — and forces the
-	// portable interface paths everywhere. It exists so cmd/tasbench
-	// -mode=compare can measure the fast-path overhaul against its own
-	// baseline within one binary; leave it false in production.
-	NoFastPath bool
 }
 
 // ArenaShardStats re-exports the arena's per-shard counters.
@@ -430,7 +423,6 @@ func NewArena(opts ArenaOptions) (*Arena, error) {
 		N:        opts.N,
 		Shards:   opts.Shards,
 		Prealloc: opts.Prealloc,
-		Plain:    opts.NoFastPath,
 		// The doorway pays four extra steps under contention to make
 		// solo acquisitions O(1); skip it when the inner election is
 		// already about that cheap solo (a shallow AGTV tournament).
