@@ -33,7 +33,6 @@ var hotPathFuncs = map[string]bool{
 	"replyErr":         true,
 	"shedReply":        true,
 	"flush":            true,
-	"buffered":         true,
 	"dead":             true,
 	"lock":             true,
 	"reapFenced":       true,

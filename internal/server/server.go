@@ -78,7 +78,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -763,7 +762,8 @@ type conn struct {
 	s     *Server
 	id    int
 	nc    net.Conn
-	br    *bufio.Reader
+	br    *bufio.Reader        // the connection's read buffer (dead-peer probes peek at it)
+	rd    *wire.Reader         // decodes request frames in place from br
 	out   []byte               // batched responses, one write per batch
 	locks map[string]*connLock // names this connection has touched
 	// epochElected caches the current epoch's ELECTEPOCH answer per
@@ -912,7 +912,8 @@ func (c *conn) dead() bool {
 // drains. The deferred cleanup releases held locks in this goroutine
 // (MutexProc confinement) and recycles the process slot.
 func (s *Server) handle(nc net.Conn, id int) {
-	c := &conn{s: s, id: id, nc: nc, br: bufio.NewReaderSize(nc, 64<<10), locks: map[string]*connLock{}}
+	br := bufio.NewReaderSize(nc, 64<<10)
+	c := &conn{s: s, id: id, nc: nc, br: br, rd: wire.NewReader(br, s.cfg.MaxFrame), locks: map[string]*connLock{}}
 	s.mu.Lock()
 	if _, ok := s.conns[nc]; ok {
 		s.conns[nc] = c // let the drain sweep reach c.blocked
@@ -950,7 +951,7 @@ func (s *Server) handle(nc net.Conn, id int) {
 	}()
 
 	for {
-		req, err := wire.ReadRequest(c.br, s.cfg.MaxFrame)
+		req, err := c.rd.ReadRequest()
 		if err != nil {
 			c.protocolBye(err)
 			return
@@ -964,8 +965,8 @@ func (s *Server) handle(nc net.Conn, id int) {
 		// bounded, so a burst of payload-heavy requests (STATS) cannot
 		// balloon the response buffer; past the bound we flush and
 		// keep going in the next outer iteration.
-		for c.buffered() && len(c.out) < maxBatchedResponses {
-			if req, err = wire.ReadRequest(c.br, s.cfg.MaxFrame); err != nil {
+		for c.rd.Buffered() && len(c.out) < maxBatchedResponses {
+			if req, err = c.rd.ReadRequest(); err != nil {
 				c.protocolBye(err)
 				return
 			}
@@ -981,23 +982,6 @@ func (s *Server) handle(nc net.Conn, id int) {
 			return // batch answered; drain takes the connection down
 		}
 	}
-}
-
-// buffered reports whether a complete request frame is already in the
-// read buffer (so decoding it cannot block).
-func (c *conn) buffered() bool {
-	if c.br.Buffered() < 4 {
-		return false
-	}
-	head, err := c.br.Peek(4)
-	if err != nil {
-		return false
-	}
-	n := int(binary.BigEndian.Uint32(head))
-	if n > c.s.cfg.MaxFrame {
-		return true // let ReadRequest surface ErrFrameTooLarge
-	}
-	return c.br.Buffered() >= 4+n
 }
 
 // protocolBye answers a malformed stream with a best-effort error frame

@@ -67,6 +67,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -301,12 +302,27 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err // io.EOF only on a clean frame boundary
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n, err := frameLen(lenBuf[:], maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	return readBody(r, n)
+}
+
+// frameLen decodes a length prefix and checks it against maxFrame.
+func frameLen(prefix []byte, maxFrame int) (uint32, error) {
+	n := binary.BigEndian.Uint32(prefix)
 	// Compare in uint64: int(n) would go negative on 32-bit platforms
 	// for prefixes ≥ 2³¹ and dodge the limit straight into make().
 	if uint64(n) > uint64(maxFrame) {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
 	}
+	return n, nil
+}
+
+// readBody reads an n-byte frame body, whose length prefix has already
+// been consumed, into a fresh slice.
+func readBody(r io.Reader, n uint32) ([]byte, error) {
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF {
@@ -330,6 +346,131 @@ func ReadRequest(r io.Reader, maxFrame int) (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
+	return decodeRequest(body, nil)
+}
+
+// ReadResponse reads and decodes one response frame. maxFrame ≤ 0 means
+// DefaultMaxFrame.
+func ReadResponse(r io.Reader, maxFrame int) (Response, error) {
+	if maxFrame <= 0 {
+		maxFrame = DefaultMaxFrame
+	}
+	body, err := readFrame(r, maxFrame)
+	if err != nil {
+		return Response{}, err
+	}
+	return decodeResponse(body)
+}
+
+// maxInterned bounds a Reader's name table. A connection that cycles
+// through more distinct names still decodes every one of them; names
+// past the bound are copied per request instead of shared.
+const maxInterned = 1024
+
+// Reader decodes frames from a buffered stream, in place: a frame that
+// fits in the bufio buffer is decoded straight out of it, and only a
+// larger one (a big STATS reply) is copied out first. Request names are
+// interned in a per-Reader table of at most maxInterned entries, so a
+// connection that keeps using the same names decodes its requests
+// without allocating. The errors are ReadRequest's and ReadResponse's.
+// A Reader is not safe for concurrent use.
+type Reader struct {
+	br       *bufio.Reader
+	maxFrame int
+	names    map[string]string
+}
+
+// NewReader returns a Reader over br. maxFrame ≤ 0 means
+// DefaultMaxFrame.
+func NewReader(br *bufio.Reader, maxFrame int) *Reader {
+	if maxFrame <= 0 {
+		maxFrame = DefaultMaxFrame
+	}
+	return &Reader{br: br, maxFrame: maxFrame, names: map[string]string{}}
+}
+
+// Buffered reports whether a whole frame is already buffered, so the
+// next read cannot block. A length prefix over the limit counts as
+// whole: reading it fails at once with ErrFrameTooLarge.
+func (r *Reader) Buffered() bool {
+	if r.br.Buffered() < 4 {
+		return false
+	}
+	head, _ := r.br.Peek(4) // four bytes are buffered: cannot block or fail
+	n := uint64(binary.BigEndian.Uint32(head))
+	return n > uint64(r.maxFrame) || uint64(r.br.Buffered()) >= 4+n
+}
+
+// ReadRequest reads and decodes one request frame. The Request shares
+// no memory with the buffer.
+func (r *Reader) ReadRequest() (Request, error) {
+	body, err := r.next()
+	if err != nil {
+		return Request{}, err
+	}
+	return decodeRequest(body, r.names)
+}
+
+// ReadResponse reads and decodes one response frame. The Payload may
+// alias the Reader's buffer: it is valid only until the next call on r,
+// so copy whatever must outlive it.
+func (r *Reader) ReadResponse() (Response, error) {
+	body, err := r.next()
+	if err != nil {
+		return Response{}, err
+	}
+	return decodeResponse(body)
+}
+
+// next consumes one frame and returns its body: a view of the bufio
+// buffer, valid until the next read, when the frame fits in it, and a
+// fresh copy otherwise.
+func (r *Reader) next() ([]byte, error) {
+	head, err := r.br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF // torn inside the length prefix
+		}
+		return nil, err // io.EOF only on a clean frame boundary
+	}
+	n, err := frameLen(head, r.maxFrame)
+	r.br.Discard(4) // just peeked: cannot fail
+	if err != nil {
+		return nil, err
+	}
+	if int(n) > r.br.Size() {
+		return readBody(r.br, n)
+	}
+	body, err := r.br.Peek(int(n))
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // torn mid-frame
+		}
+		return nil, err
+	}
+	r.br.Discard(int(n)) // just peeked: cannot fail; body stays valid until the next read
+	return body, nil
+}
+
+// intern returns b as a string, shared through names when it is there
+// or there is room to add it. A nil table copies every time.
+func intern(names map[string]string, b []byte) string {
+	if names == nil {
+		return string(b)
+	}
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(names) < maxInterned {
+		names[s] = s
+	}
+	return s
+}
+
+// decodeRequest decodes a request frame body, interning the name
+// through names (nil: copy it).
+func decodeRequest(body []byte, names map[string]string) (Request, error) {
 	if len(body) < requestHeader {
 		return Request{}, fmt.Errorf("wire: request frame %d bytes, want ≥ %d", len(body), requestHeader)
 	}
@@ -338,7 +479,7 @@ func ReadRequest(r io.Reader, maxFrame int) (Request, error) {
 	if len(body) < requestHeader+nameLen {
 		return Request{}, fmt.Errorf("wire: request frame %d bytes, header says ≥ %d", len(body), requestHeader+nameLen)
 	}
-	req.Name = string(body[requestHeader : requestHeader+nameLen])
+	req.Name = intern(names, body[requestHeader:requestHeader+nameLen])
 	trailer := body[requestHeader+nameLen:]
 	switch req.Op {
 	case OpHello:
@@ -400,16 +541,9 @@ func ReadRequest(r io.Reader, maxFrame int) (Request, error) {
 	return req, nil
 }
 
-// ReadResponse reads and decodes one response frame. maxFrame ≤ 0 means
-// DefaultMaxFrame.
-func ReadResponse(r io.Reader, maxFrame int) (Response, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	body, err := readFrame(r, maxFrame)
-	if err != nil {
-		return Response{}, err
-	}
+// decodeResponse decodes a response frame body. The payload aliases
+// body.
+func decodeResponse(body []byte) (Response, error) {
 	if len(body) < responseHeader {
 		return Response{}, fmt.Errorf("wire: response frame %d bytes, want ≥ %d", len(body), responseHeader)
 	}

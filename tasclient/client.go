@@ -181,7 +181,9 @@ type Result struct {
 	Epoch uint64
 	// Err is the server's error message, "" when none.
 	Err string
-	// Payload is the raw response payload (JSON for OpStats).
+	// Payload is the raw response payload (JSON for OpStats), nil when
+	// empty. It belongs to the caller: it never aliases the client's
+	// read buffer, and appending to it never touches another Result.
 	Payload []byte
 }
 
@@ -193,7 +195,7 @@ type Stats = wire.Stats
 // use; see the package comment.
 type Client struct {
 	nc     net.Conn
-	br     *bufio.Reader
+	rd     *wire.Reader
 	nextID uint32
 	wbuf   []byte
 	broken error
@@ -256,7 +258,7 @@ func dial(ctx context.Context, addr string) (*Client, error) {
 // wire.Version; a refusal, a malformed answer or any other version
 // closes nc and returns an error.
 func NewClientConn(ctx context.Context, nc net.Conn) (*Client, error) {
-	c := &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}
+	c := &Client{nc: nc, rd: wire.NewReader(bufio.NewReaderSize(nc, 64<<10), 0), clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}
 	res, err := c.do(ctx, []Op{{Code: wire.OpHello}})
 	if err == nil {
 		err = helloErr(res[0])
@@ -408,15 +410,19 @@ func (c *Client) do(ctx context.Context, ops []Op) ([]Result, error) {
 		return nil, c.fail(ctx, err)
 	}
 	results := make([]Result, len(ops))
+	var block []byte // the batch's payload copies; see ownPayload
 	for i := range ops {
-		resp, err := wire.ReadResponse(c.br, 0)
+		// resp.Payload aliases the read buffer until the next read: it
+		// is parsed here and copied into block for the caller.
+		resp, err := c.rd.ReadResponse()
 		if err != nil {
 			return nil, c.fail(ctx, fmt.Errorf("tasclient: reading response %d/%d: %w", i+1, len(ops), err))
 		}
 		if resp.ID != firstID+uint32(i) {
 			return nil, c.fail(ctx, fmt.Errorf("tasclient: response id %d, want %d (stream desynchronized)", resp.ID, firstID+uint32(i)))
 		}
-		r := Result{Payload: resp.Payload}
+		var r Result
+		r.Payload, block = ownPayload(block, resp.Payload, len(ops)-i)
 		switch resp.Status {
 		case wire.StatusOK:
 			r.OK = true
@@ -430,14 +436,24 @@ func (c *Client) do(ctx context.Context, ops []Op) ([]Result, error) {
 					return nil, c.fail(ctx, fmt.Errorf("tasclient: %s %q granted without a fencing token (%d-byte payload)", wire.OpName(ops[i].Code), ops[i].Name, len(resp.Payload)))
 				}
 				r.Token = tok
-			case OpElectReset, OpExtend:
+			case OpElectReset:
+				// The answer is the now-current epoch; a missing one would
+				// read as epoch 0, which no election ever has.
+				epoch, ok := wire.ParseTokenPayload(resp.Payload)
+				if !ok {
+					return nil, c.fail(ctx, fmt.Errorf("tasclient: ELECTRESET %q answered without an epoch (%d-byte payload)", ops[i].Name, len(resp.Payload)))
+				}
+				r.Token = epoch
+			case OpExtend:
 				if tok, ok := wire.ParseTokenPayload(resp.Payload); ok {
 					r.Token = tok
 				}
 			case OpElectEpoch:
-				if leader, epoch, ok := wire.ParseElectPayload(resp.Payload); ok {
-					r.Leader, r.Epoch = leader, epoch
+				leader, epoch, ok := wire.ParseElectPayload(resp.Payload)
+				if !ok {
+					return nil, c.fail(ctx, fmt.Errorf("tasclient: ELECTEPOCH %q answered without leadership and epoch (%d-byte payload)", ops[i].Name, len(resp.Payload)))
 				}
+				r.Leader, r.Epoch = leader, epoch
 			}
 		case wire.StatusBusy:
 			r.Busy = true
@@ -457,6 +473,26 @@ func (c *Client) do(ctx context.Context, ops []Op) ([]Result, error) {
 		results[i] = r
 	}
 	return results, nil
+}
+
+// maxPayloadBlock caps the size ownPayload sizes a payload block for.
+const maxPayloadBlock = 4 << 10
+
+// ownPayload copies p into block, which holds a batch's payload copies,
+// and returns the copy and the block. A block without room for p is
+// replaced by one sized for the rest of the batch at p's size (capped),
+// so a batch of token grants costs one allocation. Copies are
+// capacity-capped: appending to one never overwrites its neighbour.
+func ownPayload(block, p []byte, rest int) (own, blk []byte) {
+	if len(p) == 0 {
+		return nil, block
+	}
+	if cap(block)-len(block) < len(p) {
+		block = make([]byte, 0, max(len(p), min(len(p)*rest, maxPayloadBlock)))
+	}
+	start := len(block)
+	block = append(block, p...)
+	return block[start:len(block):len(block)], block
 }
 
 // fail marks the client broken: the stream has no known frame boundary

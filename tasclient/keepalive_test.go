@@ -52,7 +52,7 @@ type noopTimer struct{}
 
 func (noopTimer) Stop() bool { return false }
 
-// fakeExtendServer speaks just enough v2 protocol for a KeepAlive run:
+// fakeExtendServer speaks just enough of the protocol for a KeepAlive run:
 // it answers HELLO, then scripts each EXTEND's status in order
 // (StatusError is a transient failure, StatusFenced a lost lease; the
 // script's end defaults to StatusOK). extends counts EXTENDs served.
