@@ -1,15 +1,14 @@
 // Command tasbench regenerates every experiment table of the reproduction
 // (E1–E11; the experiments list in main pairs each with its theorem),
-// load-tests the tasd lock service, runs the deterministic whole-service
-// simulation and gates the paper's complexity bounds.
+// drills the tasd lock service for correctness, runs the deterministic
+// whole-service simulation and gates the paper's complexity bounds.
 //
 // Usage:
 //
 //	tasbench [-mode=experiments] [-experiment all|E1|E2|...] [-trials N] [-seed S] [-quick]
-//	tasbench -mode=net [-scenario pairs|churn|storm|disconnect|flood]
-//	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-wait D]
-//	         [-addr host:port] [-netout BENCH_PR8.json] [-netfloor OPS]
-//	tasbench -mode=hold [-addr host:port] [-holdlock NAME] [-ttl TTL] [-holdfor D]
+//	tasbench -mode=net -addr host:port -scenario churn|storm|disconnect|flood
+//	         [-clients C] [-ttl TTL] [-duration D]
+//	tasbench -mode=hold -addr host:port [-holdlock NAME] [-ttl TTL] [-holdfor D]
 //	tasbench -mode=dst [-dstseeds N] [-seed S] [-dstscenario all|mixed|...]
 //	         [-dstops N] [-dstv]
 //	tasbench -mode=complexity [-trials N] [-seed S] [-quick] [-cxout BENCH_PR9.json]
@@ -17,12 +16,13 @@
 // Each experiment prints a fixed-width table whose *shape* (who wins, by
 // what growth rate, where crossovers fall) reproduces the corresponding
 // theorem of Giakkoupis & Woelfel (PODC 2012). Net mode (see net.go)
-// load-tests the tasd lock daemon over loopback TCP; hold mode is its
-// one-lock smoke client; dst mode (dst.go) replays a seed corpus of
-// simulated service runs; complexity mode (complexity.go) fits step and
-// RMR growth against the paper's bounds. The in-process mutex and the
-// simulator engine are measured end to end by the perfbench module
-// (bash perfbench/run.sh) and by go test -bench.
+// runs pass/fail correctness drills against a running tasd lock daemon;
+// hold mode is its one-lock smoke client; dst mode (dst.go) replays a
+// seed corpus of simulated service runs; complexity mode (complexity.go)
+// fits step and RMR growth against the paper's bounds. The in-process
+// mutex, the simulator engine and tasd over loopback TCP are measured
+// end to end by the perfbench module (bash perfbench/run.sh) and by go
+// test -bench.
 package main
 
 import (
@@ -50,24 +50,17 @@ import (
 
 func main() {
 	var (
-		mode       = flag.String("mode", "experiments", "'experiments' (simulator tables), 'net' (tasd loopback load test), 'hold' (hold one tasd lock), 'dst' (deterministic whole-service simulation over a seed corpus) or 'complexity' (step/RMR growth-class gate)")
+		mode       = flag.String("mode", "experiments", "'experiments' (simulator tables), 'net' (tasd correctness drill), 'hold' (hold one tasd lock), 'dst' (deterministic whole-service simulation over a seed corpus) or 'complexity' (step/RMR growth-class gate)")
 		experiment = flag.String("experiment", "all", "experiment id (E1..E11) or 'all'")
 		trials     = flag.Int("trials", 100, "Monte-Carlo trials per table cell")
 		seed       = flag.Int64("seed", 1, "base random seed")
 		quick      = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 
-		duration = flag.Duration("duration", 2*time.Second, "net: load duration")
-
+		duration = flag.Duration("duration", 2*time.Second, "net: drill duration")
 		clients  = flag.Int("clients", 8, "net: concurrent client connections")
-		pipeline = flag.Int("pipeline", 16, "net: ACQUIRE/RELEASE pairs per pipelined batch")
-		nlocks   = flag.Int("locks", 4, "net: distinct named locks")
-		scenario = flag.String("scenario", "pairs", "net: 'pairs' (leased acquire/release), 'churn' (abandoned holds recovered by lease expiry), 'storm' (stale-token fencing storm), 'disconnect' (clients hang up mid-ACQUIRE; asserts abort + slot reclaim) or 'flood' (open-loop overload against a small admission envelope; asserts shedding + goodput + bounds)")
+		scenario = flag.String("scenario", "", "net: 'churn' (abandoned holds recovered by lease expiry), 'storm' (stale-token fencing storm), 'disconnect' (clients hang up mid-ACQUIRE; asserts abort + slot reclaim) or 'flood' (open-loop overload against the server's admission envelope; asserts shedding + goodput + bounds)")
 		ttl      = flag.Duration("ttl", 0, "net/hold: lease TTL attached to acquires (0 = no lease)")
-		abandon  = flag.Int("abandon", 8, "net churn: forget the release every Nth cycle")
-		netWait  = flag.Duration("wait", 0, "net flood: per-ACQUIRE server-side wait budget (0 = 5ms default)")
-		netAddr  = flag.String("addr", "", "net/hold: target a running tasd (net: empty = in-process loopback server)")
-		netOut   = flag.String("netout", "BENCH_PR8.json", "net: output JSON path")
-		netFloor = flag.Float64("netfloor", 0, "net: fail below this many ops/sec (0 = no gate)")
+		netAddr  = flag.String("addr", "", "net/hold: address of the running tasd (required)")
 
 		holdLock = flag.String("holdlock", "smoke/hold", "hold: lock name to acquire")
 		holdFor  = flag.Duration("holdfor", 0, "hold: how long to sit on the lock before releasing")
@@ -112,18 +105,11 @@ func main() {
 		return
 	case "net":
 		err := runNet(netConfig{
+			addr:     *netAddr,
 			scenario: *scenario,
 			clients:  *clients,
-			pipeline: *pipeline,
-			locks:    *nlocks,
-			duration: *duration,
 			ttl:      *ttl,
-			abandon:  *abandon,
-			wait:     *netWait,
-			addr:     *netAddr,
-			seed:     *seed,
-			out:      *netOut,
-			floor:    *netFloor,
+			duration: *duration,
 		})
 		if err != nil {
 			fatalf("tasbench: %v", err)

@@ -1,247 +1,97 @@
-// Net mode: a loopback load generator for tasd, the TCP lock service —
-// now covering the v2 fenced/leased surface.
+// Net mode: pass/fail correctness drills against a running tasd, the
+// TCP lock service. It measures nothing and writes no file — every
+// tasd performance number comes from perfbench (bash perfbench/run.sh
+// --workload net_pairs). A drill drives -clients concurrent connections
+// across two named locks for -duration, then reads the server's STATS
+// and fails unless the contracts under test held:
 //
-// By default it boots an in-process server on an ephemeral loopback
-// port (use -addr to target a standalone tasd) and drives it from
-// -clients concurrent connections, each issuing pipelined batches of
-// -pipeline operations spread across -locks named locks. Three
-// scenarios exercise the redesigned path:
+//	churn       every eighth cycle per client "forgets" its release and
+//	            leaves the lock to server-side lease expiry (-ttl);
+//	            requires lease expiries and abandoned holds.
+//	storm       fencing storm: clients hold past the -ttl lease on
+//	            purpose, then release with the stale token; requires
+//	            fenced releases.
+//	disconnect  slow holders keep the locks pinned while every other
+//	            client blocks in ACQUIRE and hangs up mid-wait; requires
+//	            disconnects, elector aborts, and the arena's slot
+//	            population back at one slot per lock within budget.
+//	flood       open-loop overload: every client hammers ACQUIRE with a
+//	            5ms server-side wait budget and takes BUSY for an
+//	            answer; requires client and server sheds, at least 500
+//	            grants per second, queue and in-flight high-waters within
+//	            the server's -max-waiters/-max-inflight bounds, and the
+//	            slot reclaim. Point it at a tasd with a small admission
+//	            envelope.
 //
-//	pairs  (default) ACQUIRE/RELEASE pairs; with -ttl every acquire
-//	       carries a lease, releases are prompt, so the lease machinery
-//	       rides the hot path without ever firing — the throughput
-//	       regression gate for the v2 redesign.
-//	churn  every -abandon-th cycle per client "forgets" its release and
-//	       relies on server-side lease expiry to free the lock: sustained
-//	       lease-churn, recovery verified by the run completing and the
-//	       expiry counters moving.
-//	storm  fencing storm: clients deliberately hold past the TTL, then
-//	       release with the (now stale) token and require StatusFenced —
-//	       the end-to-end fencing contract under load.
+// Every drill also requires zero server-side mutual-exclusion
+// violations (each granted acquisition checks a token-keyed per-lock
+// owner word) and no unexpected operation error, and prints one summary
+// line of the counts it checked.
 //
-//	disconnect  disconnect storm: slow holders keep the locks pinned
-//	       while every other client blocks in ACQUIRE and hangs up
-//	       mid-wait; the run passes only if the server aborts every
-//	       abandoned waiter through the elector and the arena's slot
-//	       population returns to one slot per lock within budget.
-//
-//	flood  open-loop overload (protocol v3): the in-process server gets
-//	       a deliberately small admission envelope (-max-waiters 2 per
-//	       lock) and every client hammers AcquireWithin(-wait) with no
-//	       backoff, taking BUSY for an answer instead of slowing down.
-//	       Reports offered load vs goodput, shed rate, and admitted-op
-//	       p99; fails if the server sheds nothing, grants nothing,
-//	       breaches its own queue bound, violates exclusion, or leaks
-//	       arena slots.
-//
-// Reported: total ops/sec, batch round-trip ("wait") p50/p99, lease
-// expiries, fenced releases, and the server's own counters. Mutual
-// exclusion is verified server-side — every granted acquisition checks
-// a token-keyed per-lock owner word — and the run fails if the STATS
-// violations counter is nonzero, if any operation errs unexpectedly, or
-// (when we own the server, pairs scenario) if the per-lock round counts
-// don't account for every pair issued.
-//
-// The JSON report (default BENCH_PR8.json) extends the repository's
-// benchmark trajectory: PR 2 measured the in-process lock fast path,
-// PR 3 the simulator engine, PR 4 the first network-facing layer, PR 5
-// the fenced/leased redesign of that layer, PR 8 the overload surface
-// (flood scenario: offered vs goodput, shed rate, admission bounds).
-//
-// A fourth mode, -mode=hold, is a tiny client for smoke tests: acquire
-// one lock with a lease, hold it for -holdfor, then release and report
-// whether the release was fenced (exit 3) — the CI drill that freezes a
-// holder mid-hold and asserts lease recovery within the TTL.
+// -mode=hold is a tiny client for smoke tests: acquire one lock with a
+// lease, hold it for -holdfor, then release and report whether the
+// release was fenced (exit 3) — the CI drill that freezes a holder
+// mid-hold and asserts lease recovery within the TTL.
 //
 // Usage:
 //
-//	tasbench -mode=net [-scenario pairs|churn|storm|disconnect|flood]
-//	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-ttl TTL]
-//	         [-abandon N] [-wait D] [-addr host:port]
-//	         [-netout BENCH_PR8.json]
-//	         [-netfloor OPS] [-seed S]
-//	tasbench -mode=hold [-addr host:port] [-holdlock NAME] [-ttl TTL]
+//	tasbench -mode=net -addr host:port -scenario churn|storm|disconnect|flood
+//	         [-clients C] [-ttl TTL] [-duration D]
+//	tasbench -mode=hold -addr host:port [-holdlock NAME] [-ttl TTL]
 //	         [-holdfor D]
 package main
 
 import (
-	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
-	randtas "repro"
-	"repro/internal/harness"
-	"repro/internal/server"
 	"repro/tasclient"
 )
 
+const (
+	netLocks          = 2                    // named locks every drill spreads its clients over
+	churnAbandon      = 8                    // churn: forget every Nth release
+	floodWait         = 5 * time.Millisecond // flood: per-ACQUIRE server-side wait budget
+	floodMinGrantRate = 500                  // flood: granted ACQUIREs per second, at least
+)
+
 type netConfig struct {
-	scenario string // pairs, churn, storm, disconnect, flood
+	addr     string
+	scenario string // churn, storm, disconnect, flood
 	clients  int
-	pipeline int
-	locks    int
-	duration time.Duration
 	ttl      time.Duration // lease TTL on acquires (0 = none)
-	abandon  int           // churn: forget every Nth release
-	wait     time.Duration // flood: per-ACQUIRE server-side wait budget
-	addr     string        // "" = in-process loopback server
-	seed     int64
-	out      string
-	floor    float64 // minimum ops/sec gate (0 = off)
+	duration time.Duration
 }
-
-type netReport struct {
-	Schema     string `json:"schema"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Note       string `json:"note"`
-
-	// Algorithm is the in-process server's elector; empty with -addr,
-	// because STATS does not report a remote tasd's algorithm.
-	Algorithm string `json:"algorithm,omitempty"`
-	Scenario  string `json:"scenario"`
-	Clients   int    `json:"clients"`
-	Pipeline  int    `json:"pipeline_depth"`
-	Locks     int    `json:"locks"`
-	Duration  string `json:"duration"`
-	LeaseTTL  string `json:"lease_ttl,omitempty"`
-
-	Ops       int     `json:"ops"`
-	Pairs     int     `json:"acquire_release_pairs"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	WaitP50Us float64 `json:"wait_p50_us"`
-	WaitP99Us float64 `json:"wait_p99_us"`
-
-	ExclusionVerified bool   `json:"exclusion_verified"`
-	Violations        uint64 `json:"violations"`
-	LeaseExpirations  uint64 `json:"lease_expirations"`
-	FencedReleases    int    `json:"fenced_releases"`
-	Abandoned         int    `json:"abandoned_holds"`
-	Disconnects       int    `json:"disconnects,omitempty"`
-	ServerRounds      uint64 `json:"server_rounds"`
-	ServerContended   uint64 `json:"server_contended"`
-	ServerAborts      uint64 `json:"server_aborts"`
-	ServerRecovered   uint64 `json:"server_recovered"`
-	ArenaSlots        uint64 `json:"arena_slots"`
-	ArenaPuts         uint64 `json:"arena_puts"`
-	// SlotsOutstanding is the arena's live slot population after the
-	// run settled (Hits+Steals+Misses−Puts): the post-storm leak gate,
-	// which must come back to one slot per named lock.
-	SlotsOutstanding int64 `json:"slots_outstanding"`
-
-	// Flood scenario (protocol v3 overload surface). Offered counts
-	// every ACQUIRE the open loop issued; goodput the grants; shed_rate
-	// is sheds/offered. wait_p99_us above covers admitted ops only —
-	// shed answers are not latency.
-	OfferedAcquires     int     `json:"offered_acquires,omitempty"`
-	Goodput             int     `json:"goodput_acquires,omitempty"`
-	GoodputPerSec       float64 `json:"goodput_per_sec,omitempty"`
-	ShedAcquires        int     `json:"shed_acquires,omitempty"`
-	ShedRate            float64 `json:"shed_rate,omitempty"`
-	WaitBudget          string  `json:"wait_budget,omitempty"`
-	ServerShed          uint64  `json:"server_shed,omitempty"`
-	ServerDeadlineExp   uint64  `json:"server_deadline_expired,omitempty"`
-	ServerSlowEvictions uint64  `json:"server_slow_client_evictions,omitempty"`
-	QueueDepthHighWater int64   `json:"queue_depth_high_water,omitempty"`
-	MaxWaiters          int     `json:"max_waiters,omitempty"`
-	MaxInflight         int     `json:"max_inflight,omitempty"`
-
-	FloorOpsPerSec float64 `json:"floor_ops_per_sec,omitempty"`
-}
-
-// sampleCap bounds per-worker latency sample memory; past the cap the
-// run keeps counting ops but stops recording new samples.
-const sampleCap = 1 << 18
 
 type netWorker struct {
-	pairs       int
 	fenced      int
 	abandoned   int
 	disconnects int
 	granted     int // flood: ACQUIREs the server admitted and granted
 	shed        int // flood: ACQUIREs answered BUSY
-	rtts        []time.Duration
 	err         error
 }
 
 func runNet(cfg netConfig) error {
-	if cfg.clients < 1 || cfg.pipeline < 1 || cfg.locks < 1 {
-		return fmt.Errorf("net: -clients (%d), -pipeline (%d) and -locks (%d) must all be ≥ 1",
-			cfg.clients, cfg.pipeline, cfg.locks)
+	if cfg.addr == "" {
+		return fmt.Errorf("net: -addr is required")
+	}
+	if cfg.clients < 1 {
+		return fmt.Errorf("net: -clients must be ≥ 1, got %d", cfg.clients)
 	}
 	switch cfg.scenario {
-	case "pairs", "churn", "storm", "disconnect", "flood":
-	default:
-		return fmt.Errorf("net: unknown -scenario %q (want pairs, churn, storm, disconnect or flood)", cfg.scenario)
-	}
-	if cfg.scenario == "churn" || cfg.scenario == "storm" {
+	case "churn", "storm":
 		if cfg.ttl <= 0 {
 			return fmt.Errorf("net: -scenario=%s needs a positive -ttl", cfg.scenario)
 		}
+	case "disconnect", "flood":
+	default:
+		return fmt.Errorf("net: unknown -scenario %q (want churn, storm, disconnect or flood)", cfg.scenario)
 	}
-	if cfg.abandon < 2 {
-		cfg.abandon = 8
-	}
-	if cfg.scenario == "flood" && cfg.wait <= 0 {
-		cfg.wait = 5 * time.Millisecond
-	}
-	addr := cfg.addr
-	algorithm := "" // STATS does not report a remote tasd's algorithm
-	var srv *server.Server
-	if addr == "" {
-		algorithm = randtas.Combined.String() // tasd's default -algo
-		// A slot per load connection plus slack for the stats probe; the
-		// disconnect storm churns through connections faster than the
-		// server reaps them, so it gets extra headroom.
-		maxClients := cfg.clients + 2
-		if cfg.scenario == "disconnect" {
-			maxClients = 2*cfg.clients + 4
-		}
-		scfg := server.Config{
-			Addr:       "127.0.0.1:0",
-			MaxClients: maxClients,
-			Algorithm:  randtas.Combined,
-			Seed:       cfg.seed,
-		}
-		if cfg.scenario == "flood" {
-			// A deliberately small admission envelope so the open loop
-			// saturates it: two admitted acquisitions per lock, and a
-			// global budget well under clients × locks.
-			scfg.MaxWaiters = 2
-			scfg.MaxInflight = (3 * cfg.locks) / 2
-			if scfg.MaxInflight < 4 {
-				scfg.MaxInflight = 4
-			}
-		}
-		var err error
-		srv, err = server.New(scfg)
-		if err != nil {
-			return err
-		}
-		if err := srv.Listen(); err != nil {
-			return err
-		}
-		go srv.Serve()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		addr = srv.Addr().String()
-	}
-
-	fmt.Printf("### net — tasd loopback load (%s, scenario=%s, clients=%d, pipeline=%d, locks=%d, ttl=%v, D=%v)\n\n",
-		addr, cfg.scenario, cfg.clients, cfg.pipeline, cfg.locks, cfg.ttl, cfg.duration)
 
 	workers := make([]netWorker, cfg.clients)
 	var wg sync.WaitGroup
@@ -252,24 +102,22 @@ func runNet(cfg netConfig) error {
 		go func(w int) {
 			defer wg.Done()
 			res := &workers[w]
-			c, err := tasclient.Dial(addr)
+			c, err := tasclient.Dial(cfg.addr)
 			if err != nil {
 				res.err = err
 				return
 			}
 			defer c.Close()
 			// The barrier keeps every op inside the [t0, deadline]
-			// window the ops/sec division uses.
+			// window the flood's goodput floor is scaled to.
 			<-start
 			switch cfg.scenario {
-			case "pairs":
-				res.run(c, cfg, w, deadline)
 			case "churn":
 				res.runChurn(c, cfg, w, deadline)
 			case "storm":
 				res.runStorm(c, cfg, w, deadline)
 			case "disconnect":
-				res.runDisconnect(c, cfg, w, deadline, addr)
+				res.runDisconnect(c, cfg, w, deadline)
 			case "flood":
 				res.runFlood(c, cfg, w, deadline)
 			}
@@ -280,44 +128,32 @@ func runNet(cfg netConfig) error {
 	wg.Wait()
 	elapsed := time.Since(t0)
 
-	pairs, fenced, abandoned, disconnects, granted, shed := 0, 0, 0, 0, 0, 0
-	var rtts []time.Duration
+	var total netWorker
 	for w := range workers {
 		if workers[w].err != nil {
 			return fmt.Errorf("net client %d: %v", w, workers[w].err)
 		}
-		pairs += workers[w].pairs
-		fenced += workers[w].fenced
-		abandoned += workers[w].abandoned
-		disconnects += workers[w].disconnects
-		granted += workers[w].granted
-		shed += workers[w].shed
-		rtts = append(rtts, workers[w].rtts...)
+		total.fenced += workers[w].fenced
+		total.abandoned += workers[w].abandoned
+		total.disconnects += workers[w].disconnects
+		total.granted += workers[w].granted
+		total.shed += workers[w].shed
 	}
-	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
-	ops := 2 * pairs // each pair is one ACQUIRE + one RELEASE
-	opsPerSec := float64(ops) / elapsed.Seconds()
 
 	// The disconnect storm's exit condition is slot reclamation, not a
-	// clock: poll STATS until the arena's live slot population settles
-	// back to one slot per named lock — every abandoned mid-ACQUIRE
-	// waiter aborted through the elector and its round recycled — or
-	// fail loudly if that doesn't happen within the budget (dead-peer
-	// probes are rate-limited to 50ms, so a few hundred ms is generous).
-	// The flood's shed-never-holds-a-slot contract is checked the same
-	// way: after the open loop stops offering, the arena must settle back
-	// to baseline even though most ACQUIREs were refused at admission.
+	// clock: every abandoned mid-ACQUIRE waiter must abort through the
+	// elector and its round be recycled (dead-peer probes are
+	// rate-limited to 50ms, so a few seconds is generous). The flood's
+	// shed-never-holds-a-slot contract is checked the same way: after
+	// the open loop stops offering, the arena must settle back to
+	// baseline even though most ACQUIREs were refused at admission.
 	if cfg.scenario == "disconnect" || cfg.scenario == "flood" {
-		if err := awaitSlotReclaim(addr, 3*time.Second); err != nil {
+		if err := awaitSlotReclaim(cfg.addr, cfg.scenario, 3*time.Second); err != nil {
 			return err
 		}
 	}
 
-	// Server-side verification: the owner-word check must never have
-	// tripped, and — when the server is ours alone, in the clean pairs
-	// scenario — its per-lock round counts must account for every pair
-	// the generator issued.
-	probe, err := tasclient.Dial(addr)
+	probe, err := tasclient.Dial(cfg.addr)
 	if err != nil {
 		return fmt.Errorf("net: stats probe: %v", err)
 	}
@@ -329,39 +165,36 @@ func runNet(cfg netConfig) error {
 	if st.Violations != 0 {
 		return fmt.Errorf("net: SERVER COUNTED %d MUTUAL-EXCLUSION VIOLATIONS", st.Violations)
 	}
-	var rounds, contended uint64
-	for _, l := range st.Locks {
-		rounds += l.Rounds
-		contended += l.Contended
-	}
-	// A truncated snapshot (huge -locks counts) undercounts rounds by
-	// construction; the equality gate only holds on a complete listing
-	// of a clean pairs run (lease churn completes rounds via expiry).
-	if srv != nil && cfg.scenario == "pairs" && !st.Truncated && rounds != uint64(pairs) {
-		return fmt.Errorf("net: server completed %d rounds, generator issued %d pairs (lost or phantom acquisitions)", rounds, pairs)
-	}
+	var summary string
 	switch cfg.scenario {
 	case "churn":
-		if st.LeaseExpirations == 0 || abandoned == 0 {
-			return fmt.Errorf("net: churn scenario enforced no leases (%d expiries, %d abandoned)", st.LeaseExpirations, abandoned)
+		if st.LeaseExpirations == 0 || total.abandoned == 0 {
+			return fmt.Errorf("net: churn scenario enforced no leases (%d expiries, %d abandoned)", st.LeaseExpirations, total.abandoned)
 		}
+		summary = fmt.Sprintf("lease expiries %d, abandoned %d", st.LeaseExpirations, total.abandoned)
 	case "storm":
-		if fenced == 0 {
+		if total.fenced == 0 {
 			return fmt.Errorf("net: storm scenario observed no fenced releases")
 		}
+		summary = fmt.Sprintf("fenced %d", total.fenced)
 	case "disconnect":
-		if disconnects == 0 {
+		if total.disconnects == 0 {
 			return fmt.Errorf("net: disconnect scenario never abandoned a blocked ACQUIRE")
 		}
 		if st.Aborts == 0 {
 			return fmt.Errorf("net: disconnect storm drove no elector aborts — dead waiters were never reaped mid-wait")
 		}
+		summary = fmt.Sprintf("disconnects %d, aborts %d, slots reclaimed", total.disconnects, st.Aborts)
 	case "flood":
-		if shed == 0 || st.Shed == 0 {
-			return fmt.Errorf("net: flood scenario never tripped admission control (client sheds %d, server sheds %d) — raise -clients or shrink -locks", shed, st.Shed)
+		if total.shed == 0 || st.Shed == 0 {
+			return fmt.Errorf("net: flood scenario never tripped admission control (client sheds %d, server sheds %d) — serve it from a tasd with a small -max-waiters/-max-inflight envelope, or raise -clients", total.shed, st.Shed)
 		}
-		if granted == 0 {
+		if total.granted == 0 {
 			return fmt.Errorf("net: flood scenario had zero goodput — the server shed everything")
+		}
+		if floor := int(floodMinGrantRate * elapsed.Seconds()); total.granted < floor {
+			return fmt.Errorf("net: flood granted %d ACQUIREs in %v, below the floor of %d (%d per second)",
+				total.granted, elapsed.Round(time.Millisecond), floor, floodMinGrantRate)
 		}
 		if st.MaxWaiters > 0 && st.QueueDepthHighWater > int64(st.MaxWaiters) {
 			return fmt.Errorf("net: queue depth high-water %d BREACHED the -max-waiters bound %d", st.QueueDepthHighWater, st.MaxWaiters)
@@ -369,138 +202,15 @@ func runNet(cfg netConfig) error {
 		if st.MaxInflight > 0 && st.InflightHighWater > int64(st.MaxInflight) {
 			return fmt.Errorf("net: in-flight high-water %d BREACHED the -max-inflight bound %d", st.InflightHighWater, st.MaxInflight)
 		}
+		summary = fmt.Sprintf("granted %d, client sheds %d, server sheds %d, queue high-water %d/%d, in-flight high-water %d/%d, slots reclaimed",
+			total.granted, total.shed, st.Shed, st.QueueDepthHighWater, st.MaxWaiters, st.InflightHighWater, st.MaxInflight)
 	}
-	outstanding := int64(st.Arena.Hits+st.Arena.Steals+st.Arena.Misses) - int64(st.Arena.Puts)
-
-	report := netReport{
-		Schema:     "randtas-bench-net/v4",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "loopback load on tasd protocol v3: ops = ACQUIRE + RELEASE count; wait = round-trip of admitted ops; " +
-			"exclusion_verified = token-keyed server-side owner check clean; leases and wait budgets per the scenario",
-		Algorithm: algorithm,
-		Scenario:  cfg.scenario,
-		Clients:   cfg.clients, Pipeline: cfg.pipeline, Locks: cfg.locks,
-		Duration:          elapsed.Round(time.Millisecond).String(),
-		LeaseTTL:          cfg.ttl.String(),
-		Ops:               ops,
-		Pairs:             pairs,
-		OpsPerSec:         opsPerSec,
-		WaitP50Us:         float64(percentile(rtts, 0.50).Microseconds()),
-		WaitP99Us:         float64(percentile(rtts, 0.99).Microseconds()),
-		ExclusionVerified: true,
-		Violations:        st.Violations,
-		LeaseExpirations:  st.LeaseExpirations,
-		FencedReleases:    fenced,
-		Abandoned:         abandoned,
-		Disconnects:       disconnects,
-		ServerRounds:      rounds,
-		ServerContended:   contended,
-		ServerAborts:      st.Aborts,
-		ServerRecovered:   st.Recovered,
-		ArenaSlots:        st.Arena.Slots,
-		ArenaPuts:         st.Arena.Puts,
-		SlotsOutstanding:  outstanding,
-		FloorOpsPerSec:    cfg.floor,
-	}
-	if cfg.scenario == "flood" {
-		offered := granted + shed
-		report.OfferedAcquires = offered
-		report.Goodput = granted
-		report.GoodputPerSec = float64(granted) / elapsed.Seconds()
-		report.ShedAcquires = shed
-		if offered > 0 {
-			report.ShedRate = float64(shed) / float64(offered)
-		}
-		report.WaitBudget = cfg.wait.String()
-		report.ServerShed = st.Shed
-		report.ServerDeadlineExp = st.DeadlineExpired
-		report.ServerSlowEvictions = st.SlowClientEvictions
-		report.QueueDepthHighWater = st.QueueDepthHighWater
-		report.MaxWaiters = st.MaxWaiters
-		report.MaxInflight = st.MaxInflight
-	}
-
-	tbl := harness.Table{
-		Title:   "tasd loopback: sustained lock traffic over TCP (protocol v3)",
-		Headers: []string{"algorithm", "scenario", "ops", "ops/sec", "wait p50", "wait p99", "rounds", "expiries", "fenced", "aborts", "slots out", "violations"},
-		Notes: []string{
-			"ops counts ACQUIRE and RELEASE individually; wait = batch round-trip over the wire.",
-			"violations = server-side token-keyed owner check failures (must be 0).",
-			"aborts = waiters cancelled through the elector; slots out = live arena slots after the run (one per lock).",
-		},
-	}
-	tbl.AddRow(cmp.Or(algorithm, "remote"), cfg.scenario, ops, fmt.Sprintf("%.0f", opsPerSec),
-		percentile(rtts, 0.50).Round(time.Microsecond).String(),
-		percentile(rtts, 0.99).Round(time.Microsecond).String(),
-		rounds, st.LeaseExpirations, fenced, st.Aborts, outstanding, st.Violations)
-	fmt.Println(tbl.String())
-	if cfg.scenario == "flood" {
-		offered := granted + shed
-		fmt.Printf("flood: offered %d ACQUIREs (%.0f/sec), goodput %d (%.0f/sec), shed %d (%.1f%% — client) / %d (server), "+
-			"deadline-expired %d, queue high-water %d/%d, in-flight high-water %d/%d, wait budget %v\n\n",
-			offered, float64(offered)/elapsed.Seconds(),
-			granted, float64(granted)/elapsed.Seconds(),
-			shed, 100*report.ShedRate, st.Shed,
-			st.DeadlineExpired, st.QueueDepthHighWater, st.MaxWaiters,
-			st.InflightHighWater, st.MaxInflight, cfg.wait)
-	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(cfg.out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", cfg.out)
-
-	if cfg.floor > 0 && opsPerSec < cfg.floor {
-		return fmt.Errorf("net: %.0f ops/sec below the %.0f floor", opsPerSec, cfg.floor)
-	}
+	fmt.Printf("net %s: ok — %d clients, %v, violations 0, %s\n",
+		cfg.scenario, cfg.clients, elapsed.Round(time.Millisecond), summary)
 	return nil
 }
 
-// run is the pairs scenario: pipelined ACQUIRE(ttl)/RELEASE(token)
-// pairs, releases prompt — leases never fire, the throughput gate.
-func (res *netWorker) run(c *tasclient.Client, cfg netConfig, w int, deadline time.Time) {
-	// Pre-build the batch shape once; names cycle through the lock set,
-	// offset per client so contention spreads. Tokens are granted per
-	// batch, so RELEASE uses the server-tracked token (0) —
-	// the server still verifies its own record.
-	batch := make([]tasclient.Op, 0, 2*cfg.pipeline)
-	for i := 0; i < cfg.pipeline; i++ {
-		name := fmt.Sprintf("lock-%d", (w+i)%cfg.locks)
-		batch = append(batch,
-			tasclient.Op{Code: tasclient.OpAcquire, Name: name, TTL: cfg.ttl},
-			tasclient.Op{Code: tasclient.OpRelease, Name: name},
-		)
-	}
-	for time.Now().Before(deadline) {
-		t0 := time.Now()
-		out, err := c.Do(context.Background(), batch)
-		if err != nil {
-			res.err = err
-			return
-		}
-		for i, r := range out {
-			if !r.OK {
-				res.err = fmt.Errorf("batch op %d (%s): %+v", i, opLabel(batch[i]), r)
-				return
-			}
-		}
-		res.pairs += cfg.pipeline
-		if len(res.rtts) < sampleCap {
-			res.rtts = append(res.rtts, time.Since(t0))
-		}
-	}
-}
-
-// runChurn is the lease-churn scenario: every cfg.abandon-th cycle the
+// runChurn is the lease-churn scenario: every churnAbandon-th cycle the
 // client skips its release, leaving recovery to the server's lease
 // sweeper. Abandoned grants surface on the next acquire of the same
 // name (possibly blocking until expiry), so the run as a whole proves
@@ -515,7 +225,7 @@ func (res *netWorker) runChurn(c *tasclient.Client, cfg netConfig, w int, deadli
 	abandoned := map[string]time.Time{}
 	grace := cfg.ttl * 3
 	for time.Now().Before(deadline) {
-		name := fmt.Sprintf("lock-%d", (w+cycle)%cfg.locks)
+		name := fmt.Sprintf("lock-%d", (w+cycle)%netLocks)
 		if at, ok := abandoned[name]; ok {
 			if time.Since(at) < grace {
 				cycle++
@@ -524,14 +234,13 @@ func (res *netWorker) runChurn(c *tasclient.Client, cfg netConfig, w int, deadli
 			}
 			delete(abandoned, name)
 		}
-		t0 := time.Now()
 		tok, err := c.Acquire(ctx, name, cfg.ttl)
 		if err != nil {
 			res.err = fmt.Errorf("churn acquire %s: %v", name, err)
 			return
 		}
 		cycle++
-		if cycle%cfg.abandon == 0 {
+		if cycle%churnAbandon == 0 {
 			res.abandoned++ // leave it to the lease sweeper
 			abandoned[name] = time.Now()
 			continue
@@ -544,10 +253,6 @@ func (res *netWorker) runChurn(c *tasclient.Client, cfg netConfig, w int, deadli
 			res.err = fmt.Errorf("churn release %s: %v", name, err)
 			return
 		}
-		res.pairs++
-		if len(res.rtts) < sampleCap {
-			res.rtts = append(res.rtts, time.Since(t0))
-		}
 	}
 }
 
@@ -558,9 +263,8 @@ func (res *netWorker) runStorm(c *tasclient.Client, cfg netConfig, w int, deadli
 	ctx := context.Background()
 	cycle := 0
 	for time.Now().Before(deadline) {
-		name := fmt.Sprintf("lock-%d", (w+cycle)%cfg.locks)
+		name := fmt.Sprintf("lock-%d", (w+cycle)%netLocks)
 		cycle++
-		t0 := time.Now()
 		tok, err := c.Acquire(ctx, name, cfg.ttl)
 		if err != nil {
 			res.err = fmt.Errorf("storm acquire %s: %v", name, err)
@@ -574,13 +278,9 @@ func (res *netWorker) runStorm(c *tasclient.Client, cfg netConfig, w int, deadli
 		case err == nil:
 			// The sweeper may not have fired yet on a quiet lock; a
 			// clean release is acceptable, just not countable.
-			res.pairs++
 		default:
 			res.err = fmt.Errorf("storm release %s: %v", name, err)
 			return
-		}
-		if len(res.rtts) < sampleCap {
-			res.rtts = append(res.rtts, time.Since(t0))
 		}
 	}
 }
@@ -593,9 +293,9 @@ func (res *netWorker) runStorm(c *tasclient.Client, cfg netConfig, w int, deadli
 // must abort each abandoned waiter through the elector and recycle its
 // round; runNet verifies that afterwards via STATS (aborts > 0, slot
 // population back to one per lock, zero violations).
-func (res *netWorker) runDisconnect(c *tasclient.Client, cfg netConfig, w int, deadline time.Time, addr string) {
+func (res *netWorker) runDisconnect(c *tasclient.Client, cfg netConfig, w int, deadline time.Time) {
 	bg := context.Background()
-	if w < cfg.locks && w < cfg.clients/2 {
+	if w < netLocks && w < cfg.clients/2 {
 		// Holder: keep lock-w held in long beats so waiters pile up and
 		// their hangups are discovered mid-wait, not at grant time.
 		name := fmt.Sprintf("lock-%d", w)
@@ -610,23 +310,22 @@ func (res *netWorker) runDisconnect(c *tasclient.Client, cfg netConfig, w int, d
 				res.err = fmt.Errorf("disconnect holder release %s: %v", name, err)
 				return
 			}
-			res.pairs++
 		}
 		return
 	}
 	// Stormer: block behind a holder, hang up mid-wait, redial, repeat.
 	cycle := 0
 	for time.Now().Before(deadline) {
-		name := fmt.Sprintf("lock-%d", (w+cycle)%cfg.locks)
+		name := fmt.Sprintf("lock-%d", (w+cycle)%netLocks)
 		cycle++
 		ctx, cancel := context.WithTimeout(bg, time.Duration(5+w%7)*time.Millisecond)
 		tok, err := c.Acquire(ctx, name, 0)
 		cancel()
 		if err == nil {
 			// Slipped in between holder beats; release and go again.
-			if rerr := c.Release(bg, name, tok); rerr == nil {
-				res.pairs++
-			}
+			// A failed release is not this drill's contract: STATS
+			// still checks the lock's exclusion and slot afterwards.
+			_ = c.Release(bg, name, tok)
 			continue
 		}
 		// The timed-out ACQUIRE abandoned the stream mid-operation; the
@@ -635,7 +334,7 @@ func (res *netWorker) runDisconnect(c *tasclient.Client, cfg netConfig, w int, d
 		c.Close()
 		c = nil
 		for time.Now().Before(deadline) {
-			if c, err = tasclient.Dial(addr); err == nil {
+			if c, err = tasclient.Dial(cfg.addr); err == nil {
 				break
 			}
 			// Transiently full while the server reaps our corpses.
@@ -651,32 +350,26 @@ func (res *netWorker) runDisconnect(c *tasclient.Client, cfg netConfig, w int, d
 }
 
 // runFlood is the open-loop overload drill: every worker offers
-// AcquireWithin(cfg.wait) as fast as the wire turns around, takes BUSY
+// AcquireWithin(floodWait) as fast as the wire turns around, takes BUSY
 // for an answer, and never backs off — offered load is whatever the
 // connection can carry, not what the server can serve. Grants are
-// released promptly (goodput), sheds go straight back to offering. Only
-// admitted operations contribute RTT samples; a shed is an answer, not
-// a latency. runNet verifies afterwards that the server both shed and
-// granted, honored its own admission bounds, and reclaimed every slot.
+// released promptly, sheds go straight back to offering. runNet
+// verifies afterwards that the server both shed and granted, honored
+// its own admission bounds, and reclaimed every slot.
 func (res *netWorker) runFlood(c *tasclient.Client, cfg netConfig, w int, deadline time.Time) {
 	bg := context.Background()
 	cycle := 0
 	for time.Now().Before(deadline) {
-		name := fmt.Sprintf("lock-%d", (w+cycle)%cfg.locks)
+		name := fmt.Sprintf("lock-%d", (w+cycle)%netLocks)
 		cycle++
-		t0 := time.Now()
-		tok, err := c.AcquireWithin(bg, name, cfg.ttl, cfg.wait)
+		tok, err := c.AcquireWithin(bg, name, cfg.ttl, floodWait)
 		switch {
 		case err == nil:
 			res.granted++
-			if len(res.rtts) < sampleCap {
-				res.rtts = append(res.rtts, time.Since(t0))
-			}
 			if rerr := c.Release(bg, name, tok); rerr != nil {
 				res.err = fmt.Errorf("flood release %s: %v", name, rerr)
 				return
 			}
-			res.pairs++
 		case errors.Is(err, tasclient.ErrBusy):
 			res.shed++ // the degradation contract: a clean refusal, connection intact
 		default:
@@ -693,7 +386,7 @@ func (res *netWorker) runFlood(c *tasclient.Client, cfg netConfig, w int, deadli
 // has names from earlier scenarios. An unrecovered winnerless round
 // would pin its slot and hold the population above baseline forever,
 // so equality within the budget is the abort-leaves-no-residue gate.
-func awaitSlotReclaim(addr string, budget time.Duration) error {
+func awaitSlotReclaim(addr, scenario string, budget time.Duration) error {
 	start := time.Now()
 	last, want := int64(-1), int64(-1)
 	for {
@@ -715,8 +408,8 @@ func awaitSlotReclaim(addr string, budget time.Duration) error {
 			}
 		}
 		if time.Since(start) > budget {
-			return fmt.Errorf("net: arena stuck at %d live slots (want %d) %v after the disconnect storm — aborted waiters leaked",
-				last, want, budget)
+			return fmt.Errorf("net: arena stuck at %d live slots (want %d) %v after the %s scenario — slots leaked",
+				last, want, budget, scenario)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -754,26 +447,6 @@ func runHold(addr, lock string, ttl, holdfor time.Duration) error {
 	}
 	fmt.Printf("hold: released cleanly\n")
 	return nil
-}
-
-func opLabel(op tasclient.Op) string {
-	switch op.Code {
-	case tasclient.OpAcquire:
-		return "ACQUIRE " + op.Name
-	case tasclient.OpRelease:
-		return "RELEASE " + op.Name
-	default:
-		return op.Name
-	}
-}
-
-// percentile reads the p-quantile of d, which must be sorted.
-func percentile(d []time.Duration, p float64) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(d)-1))
-	return d[i]
 }
 
 // fatalf prints to stderr and exits non-zero, so a failed run fails CI.

@@ -514,11 +514,12 @@ func (r *run) coordinator() {
 	}
 	if r.wantEvict {
 		// Eviction needs two passes over an unchanged counter
-		// signature, at least MaxIdle apart.
-		r.clk.Sleep(r.cfg.MaxIdle + 2*r.evictInterval() + 2*r.cfg.LeaseSweep)
+		// signature, at least MaxIdle apart; the server runs a pass
+		// every MaxIdle.
+		r.clk.Sleep(3*r.cfg.MaxIdle + 2*r.cfg.LeaseSweep)
 		if r.strict && r.srv.Registry().Evictions() == 0 {
 			r.mon.errOnce("evict", "no eviction after %v of idleness (MaxIdle %v)",
-				r.cfg.MaxIdle+2*r.evictInterval(), r.cfg.MaxIdle)
+				3*r.cfg.MaxIdle, r.cfg.MaxIdle)
 		}
 		// An evicted name must come back fresh and usable.
 		if cl := r.connect(false); cl != nil {
@@ -621,11 +622,6 @@ func (r *run) checkSlotQuiescence() {
 		}
 		r.clk.Sleep(r.cfg.LeaseSweep)
 	}
-}
-
-func (r *run) evictInterval() time.Duration {
-	// Mirrors server.New's default.
-	return r.cfg.MaxIdle
 }
 
 // opBudget is the virtual read deadline armed before every client

@@ -101,14 +101,11 @@ type Config struct {
 	// process slot of the arena's N (default 64). Connections beyond
 	// the bound receive an error frame and are closed.
 	MaxClients int
-	// Algorithm, Seed, ArenaShards, Prealloc configure the backing
-	// arena exactly as randtas.ArenaOptions does.
-	Algorithm   randtas.Algorithm
-	Seed        int64
-	ArenaShards int
-	Prealloc    int
-	// RegistryShards shards the name directory (0 = default).
-	RegistryShards int
+	// Algorithm and Seed configure the backing arena exactly as
+	// randtas.Options does; the arena and the name directory keep their
+	// default shard counts and preallocation.
+	Algorithm randtas.Algorithm
+	Seed      int64
 	// MaxFrame bounds accepted request frames (0 = wire.DefaultMaxFrame).
 	MaxFrame int
 	// LeaseSweep is the lease sweeper's scan interval — the granularity
@@ -134,15 +131,12 @@ type Config struct {
 	// locks and process slot are recovered by the normal
 	// disconnect-recovery path. 0 means writes may block indefinitely.
 	WriteTimeout time.Duration
-	// MaxIdle, when positive, enables server-driven eviction: named
-	// locks whose counters have been quiet for at least this long are
-	// retired on the eviction timer, their final slots returned to the
-	// arena and the server's per-name state (including retained procs)
-	// dropped. A name used again simply starts fresh.
+	// MaxIdle, when positive, enables server-driven eviction: every
+	// MaxIdle the sweeper retires named locks whose counters have been
+	// quiet for at least MaxIdle, returning their final slots to the
+	// arena and dropping the server's per-name state (including
+	// retained procs). A name used again simply starts fresh.
 	MaxIdle time.Duration
-	// EvictInterval is how often the sweeper runs an eviction pass
-	// (default MaxIdle when MaxIdle is set; irrelevant otherwise).
-	EvictInterval time.Duration
 	// Logf, when non-nil, receives one line per lifecycle event
 	// (connections, drain, expiries). Per-request logging would dominate
 	// the request cost and is deliberately absent.
@@ -270,9 +264,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.LeaseSweep <= 0 {
 		cfg.LeaseSweep = 5 * time.Millisecond
 	}
-	if cfg.MaxIdle > 0 && cfg.EvictInterval <= 0 {
-		cfg.EvictInterval = cfg.MaxIdle
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
@@ -282,13 +273,10 @@ func New(cfg Config) (*Server, error) {
 	_, sim := cfg.Clock.(*dst.SimClock)
 	reg, err := randtas.NewRegistry(randtas.RegistryOptions{
 		ArenaOptions: randtas.ArenaOptions{
-			Options:  randtas.Options{N: cfg.MaxClients, Algorithm: cfg.Algorithm, Seed: cfg.Seed},
-			Shards:   cfg.ArenaShards,
-			Prealloc: cfg.Prealloc,
+			Options: randtas.Options{N: cfg.MaxClients, Algorithm: cfg.Algorithm, Seed: cfg.Seed},
 		},
-		RegistryShards: cfg.RegistryShards,
-		MaxIdle:        cfg.MaxIdle,
-		Now:            cfg.Clock.Now,
+		MaxIdle: cfg.MaxIdle,
+		Now:     cfg.Clock.Now,
 	})
 	if err != nil {
 		return nil, err
@@ -404,8 +392,8 @@ func (s *Server) sweepLeases() {
 		close(s.sweepDone)
 	}()
 	var nextEvict int64
-	if s.cfg.EvictInterval > 0 {
-		nextEvict = s.clock.Now().UnixNano() + int64(s.cfg.EvictInterval)
+	if s.cfg.MaxIdle > 0 {
+		nextEvict = s.clock.Now().UnixNano() + int64(s.cfg.MaxIdle)
 	}
 	for {
 		s.clock.Sleep(s.cfg.LeaseSweep)
@@ -457,7 +445,7 @@ func (s *Server) sweepLeases() {
 			s.expiries.Add(1)
 		}
 		if nextEvict != 0 && nowNano >= nextEvict {
-			nextEvict = nowNano + int64(s.cfg.EvictInterval)
+			nextEvict = nowNano + int64(s.cfg.MaxIdle)
 			if n := s.reg.Evict(); n > 0 {
 				s.purgeRetired(n)
 			}

@@ -460,10 +460,6 @@ func (a *Arena) Stats() ArenaShardStats { return a.a.TotalStats() }
 type RegistryOptions struct {
 	// ArenaOptions sizes the backing arena shared by every named object.
 	ArenaOptions
-	// RegistryShards is the number of shards in the name directory
-	// (default arena.DefaultRegistryShards). It bounds lookup
-	// contention, not capacity — each shard holds any number of names.
-	RegistryShards int
 	// MaxIdle, when positive, lets Registry.Evict retire named mutexes
 	// whose counters have been quiet for at least this long, returning
 	// their final rounds' slots to the arena. Zero disables eviction.
@@ -498,17 +494,9 @@ func NewRegistry(opts RegistryOptions) (*Registry, error) {
 		return nil, err
 	}
 	return &Registry{opts: a.opts, r: arena.NewRegistry(a.a, arena.RegistryConfig{
-		Shards:  opts.RegistryShards,
 		MaxIdle: opts.MaxIdle,
 		Now:     opts.Now,
 	})}, nil
-}
-
-// NewRegistry builds a registry over this arena. Any number of
-// registries and standalone mutexes may share one arena. maxIdle zero
-// disables eviction.
-func (a *Arena) NewRegistry(shards int, maxIdle time.Duration) *Registry {
-	return &Registry{opts: a.opts, r: arena.NewRegistry(a.a, arena.RegistryConfig{Shards: shards, MaxIdle: maxIdle})}
 }
 
 // Mutex returns the named lock, creating it on first use (and afresh
