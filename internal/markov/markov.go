@@ -1,8 +1,7 @@
 // Package markov provides the chain-analysis tools of Lemma 2.1: rate
-// functions, the Δ_{f−1} hitting-time machinery that converts a group
+// functions and the Δ_{f−1} hitting-time machinery that converts a group
 // election's performance parameter f into the expected number of chain
-// levels, and the iterated-logarithm functions the paper's bounds are
-// stated in.
+// levels.
 //
 // The paper defines, for a non-increasing Markov chain on {0..n} with rate
 // r (r(j) bounds E[M_{i+1} | M_i = j]), the quantity Δ_r(n) as the maximum
@@ -19,28 +18,6 @@ import (
 
 	"repro/internal/rng"
 )
-
-// Log2 returns log₂ x (x > 0).
-func Log2(x float64) float64 { return math.Log2(x) }
-
-// LogStar returns the iterated logarithm log₂* x: the number of times log₂
-// must be applied before the value drops to at most 1.
-func LogStar(x float64) int {
-	n := 0
-	for x > 1 {
-		x = math.Log2(x)
-		n++
-	}
-	return n
-}
-
-// LogLog returns ⌈log₂ log₂ x⌉ for x > 2, else 0.
-func LogLog(x float64) int {
-	if x <= 2 {
-		return 0
-	}
-	return int(math.Ceil(math.Log2(math.Log2(x))))
-}
 
 // IterationsToZero returns the number of iterations of the integer
 // descent j → min(⌊f(j)⌋ − 1, j − 1) needed to reach 0 from n, capped at

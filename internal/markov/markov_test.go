@@ -6,29 +6,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestLogStar(t *testing.T) {
-	cases := map[float64]int{
-		1: 0, 2: 1, 4: 2, 16: 3, 65536: 4, 1 << 20: 5,
-	}
-	for x, want := range cases {
-		if got := LogStar(x); got != want {
-			t.Errorf("LogStar(%v) = %d, want %d", x, got, want)
-		}
-	}
-}
-
-func TestLogLog(t *testing.T) {
-	if got := LogLog(2); got != 0 {
-		t.Errorf("LogLog(2) = %d, want 0", got)
-	}
-	if got := LogLog(65536); got != 4 {
-		t.Errorf("LogLog(65536) = %d, want 4", got)
-	}
-	if got := LogLog(1 << 32); got != 5 {
-		t.Errorf("LogLog(2^32) = %d, want 5", got)
-	}
-}
-
 // TestIterationsToZeroFig1: the deterministic descent under the Lemma 2.2
 // rate behaves like log*: tiny and nearly flat.
 func TestIterationsToZeroFig1(t *testing.T) {
