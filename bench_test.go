@@ -431,10 +431,11 @@ func BenchmarkSimStepOverhead(b *testing.B) {
 }
 
 // E14 — the arena subsystem: sustained Lock/Unlock traffic on the
-// reusable TAS-chained Mutex. ReportAllocs demonstrates the arena's
-// amortized O(1) allocations per operation: slots (with their O(n)
-// register footprints) are recycled, so steady state allocates only the
-// per-round bookkeeping, never a fresh TAS object.
+// reusable TAS-chained Mutex. ReportAllocs shows that the handover
+// itself allocates nothing: each round lives in a recycled slot (with
+// its O(n) register footprint), so steady state never builds a TAS
+// object or a round. What remains under contention is the elector's own
+// contended path (the combined algorithm's fibers).
 func BenchmarkMutex(b *testing.B) {
 	for _, algo := range []Algorithm{Combined, RatRace, AGTV} {
 		b.Run(algo.String(), func(b *testing.B) {

@@ -63,6 +63,8 @@ func TestClaimMutationsViolate(t *testing.T) {
 			findRow(t, "E12", "tas-agtv", steps), ceilingOf(complexity.LogLog)},
 		{"the naive chain under the attack, O(log n) ceiling", false,
 			findRow(t, "E5", "logstar", steps), ceilingOf(complexity.Log)},
+		{"ratrace-se steps under the lockstep adversary, O(1) ceiling", false,
+			findRow(t, "E4", "ratrace-se", steps), ceilingOf(complexity.O1)},
 		{"original RatRace registers as linear space", false,
 			findRow(t, "E4", "ratrace-original", registers), shape{kind: linear}},
 		{"Figure 1 elects at most 1", false,

@@ -58,7 +58,7 @@ func TestAbortWinRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := NewMutex(a)
-			if got := m.cur.Load().slot.Obj.Abortable(); got != rc.abortable {
+			if got := m.cur.Load().Obj.Abortable(); got != rc.abortable {
 				t.Fatalf("slot Obj.Abortable() = %v, want %v", got, rc.abortable)
 			}
 			procs := make([]*MutexProc, workers)
@@ -123,7 +123,7 @@ func TestAbortWinRace(t *testing.T) {
 func TestAbortWinnerlessRecovery(t *testing.T) {
 	m := newTestMutex(t, 2)
 	p := proc(m, 0)
-	first := m.cur.Load().seq
+	first := m.cur.Load().seq.Load()
 
 	p.Abort()
 	for i := 1; i <= 2; i++ {
@@ -140,7 +140,7 @@ func TestAbortWinnerlessRecovery(t *testing.T) {
 		if got := m.Holder(); got != 0 {
 			t.Fatalf("holder = %d after recovery, want 0 (gate leaked)", got)
 		}
-		if got := m.cur.Load().seq; got != first+uint64(i) {
+		if got := m.cur.Load().seq.Load(); got != first+uint64(i) {
 			t.Fatalf("round seq = %d after %d recoveries, want %d", got, i, first+uint64(i))
 		}
 		if got := outstandingSlots(m.Arena()); got != 1 {

@@ -21,8 +21,15 @@
 //     {tag, index} head word: every successful CAS increments the tag, so
 //     a recycled slot can never be confused with its earlier incarnation.
 //
-// The Mutex in this package chains arena slots into a long-lived lock;
-// the public surface is re-exported through the root randtas package.
+// The Mutex in this package chains arena slots into a long-lived lock.
+// A slot is also the lock's round: its state word, fencing sequence
+// number and owning mutex live in the Slot, and the slot's incarnation
+// — one trip from Get to Put — is the round's lifetime, so a handover
+// allocates nothing. The same tag argument as the free list's head
+// makes that reuse ABA-safe: a round's state word carries a 32-bit
+// incarnation tag bumped each time the slot opens as a new round (see
+// mutex.go). The public surface is re-exported through the root randtas
+// package.
 package arena
 
 import (
@@ -97,6 +104,15 @@ type Slot struct {
 	shard uint32 // home shard, so Put returns it where it came from
 	idx   uint32 // 1-based position in its shard's table (0 = none)
 	next  atomic.Uint32
+
+	// Mutex round state (see mutex.go). A slot is one Mutex round per
+	// incarnation: state packs {incarnation tag, flags, refs}; its zero
+	// value — and every free slot's value — is a closed round nobody can
+	// enter. seq and owner are written by the installer before the round
+	// opens and are read only by processes holding a reference.
+	state atomic.Uint64
+	seq   atomic.Uint64
+	owner *Mutex
 }
 
 // Registers reports the slot's register footprint.

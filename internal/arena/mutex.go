@@ -1,7 +1,7 @@
 // TAS-chaining mutex: a long-lived lock built from one-shot TAS rounds,
 // with fencing tokens.
 //
-// The lock's state is a pointer to the current *round*, which wraps one
+// The lock's state is a pointer to the current *round*, which is one
 // arena slot. Locking means "win the current round's TAS"; unlocking
 // means "acquire a fresh slot, install it as the next round, and retire
 // the old one". Exactly one process ever receives 0 from a round's TAS,
@@ -42,16 +42,65 @@
 //
 // # Recycling
 //
-// Retiring a round's slot safely is the delicate part: the old slot's
-// registers may only be reset (Arena.Put) once every process that
-// entered the round has left it. Each round carries a refcount;
-// processes increment it before touching the slot and decrement on the
-// way out, the winner holds its reference until Unlock (even a fenced
-// one), and whoever drops the count to zero after the round is closed
-// recycles the slot. Sequentially consistent atomics give the key
-// invariant: a process that observed closed == false after incrementing
-// is counted before the closing side's zero-check, so the count cannot
-// reach zero while anyone may still step on the registers.
+// A round lives inside its slot: the slot's state word, its 64-bit seq
+// (the fencing token) and its owner mutex are the round, and the slot's
+// incarnation — from the Get that opens it to the Put that recycles it —
+// is the round's lifetime. A handover therefore allocates nothing. The
+// state word packs, in one atomic uint64,
+//
+//	bits 32..63  incarnation tag, bumped each time the slot opens
+//	bit  28      open: the round may be entered (clear = closed)
+//	bits 29..31  aborted, recovering, gateHeld (abort recovery below)
+//	bits  0..27  refs: processes inside the round
+//
+// A process enters a round by pinning it — one CAS that adds a ref only
+// if the word is open — and leaves by dropping the ref. Whoever installs
+// a successor closes the old round (clears open), and whoever leaves the
+// word closed with zero refs — the closer itself, or the round's last
+// straggler — is the round's unique reaper: it recycles the slot with
+// Arena.Put. Closing and leaving both go through that one step, so no
+// path can close a drained round without recycling it. A closed word
+// refuses every pin, and a free slot stays closed until its next
+// installer opens it, so no process can enter a round once it may be
+// recycled, and Put never resets registers under a process.
+//
+// The subtle part is that a waiter's pointer to the current round can go
+// stale: between loading m.cur and pinning, the round may be superseded,
+// reaped and its slot handed out again — as the next round of this mutex
+// or of another mutex on the same arena (a Registry shares one arena
+// across all its names), where a TAS under this proc's id could collide
+// with that mutex's own proc of the same id. Entry is therefore:
+//
+//  1. load s = m.cur and its seq;
+//  2. pin s's incarnation — the tag in the CAS'd word makes the pin land
+//     on the incarnation whose open word was observed, the same argument
+//     as the free list's packed {tag, index} head;
+//  3. re-validate m.cur == s and s.seq == seq before touching a
+//     register. A pinned incarnation cannot be reaped, and a slot is
+//     installed at most once per incarnation, so m.cur == s after the
+//     pin means the pinned incarnation is this mutex's current round;
+//     the seq check rejects a slot recycled back into the same mutex as
+//     a later round. On a mismatch the waiter leaves and reloads.
+//
+// The unpublished successor is the other ABA case: an installer opens
+// its fresh slot before the install CAS, so a stale waiter may pin it
+// (and fail validation) before it is published. A successor that loses
+// its install CAS is therefore closed and reaped like any other round,
+// never Put directly — the stale waiter's leave recycles it if it is
+// the last one out. Revoke, which acts on m.cur without holding the
+// round, pins it too, so its install CAS cannot land on a later
+// incarnation of the same slot.
+//
+// # Abort recovery
+//
+// An aborted participant loses without implying a winner, so a round
+// can end winnerless. The aborted flag records that some participant
+// aborted; the last process to leave an open round with the flag set
+// sets the recovering flag with a CAS in place of dropping its ref and,
+// still pinned, recovers the round in place of the winner that never was
+// (Mutex.recoverRound). The trigger is one CAS on the word, so it fires
+// exactly once per incarnation, and it fires for the round's owner even
+// when the last one out is a stale waiter from another mutex.
 package arena
 
 import (
@@ -90,12 +139,22 @@ var (
 // as a real token.
 const retiredGate = math.MaxUint64
 
+// Round state word layout; see "Recycling" above.
+const (
+	stRefs       = 1<<28 - 1 // refs: processes inside the round
+	stOpen       = 1 << 28   // the round may be entered
+	stAborted    = 1 << 29   // some participant's TAS resolved by abort
+	stRecovering = 1 << 30   // abort recovery's exactly-once ticket taken
+	stGateHeld   = 1 << 31   // recovery holds the gate until the reap
+	stTagOne     = 1 << 32   // one incarnation-tag increment
+)
+
 // Mutex is a long-lived mutual-exclusion lock chained from one-shot TAS
 // rounds drawn from an Arena. Create one with NewMutex; each goroutine
 // interacts through its own MutexProc.
 type Mutex struct {
 	arena *Arena
-	cur   atomic.Pointer[round]
+	cur   atomic.Pointer[Slot]
 	gate  atomic.Uint64 // 0 free | token held | retiredGate
 
 	rounds      atomic.Uint64 // completed Lock/Unlock cycles
@@ -106,31 +165,109 @@ type Mutex struct {
 	recovered   atomic.Uint64 // winnerless rounds recycled by abort recovery
 }
 
-type round struct {
-	slot   *Slot
-	seq    uint64
-	refs   atomic.Int64
-	closed atomic.Bool
-	reaped atomic.Bool
-
-	// Abort bookkeeping. aborts counts participants whose TAS resolved
-	// by abort: they lost without implying a winner, so a round whose
-	// refcount drains to zero with aborts > 0, no claimed winner and no
-	// successor may be permanently winnerless — recovering is the
-	// exactly-once ticket for recycling it (see Mutex.recoverRound).
-	// gateHeld marks that recovery still holds the gate pseudo-claim
-	// when it hands the release off to the round's last straggler.
-	aborts     atomic.Int64
-	recovering atomic.Bool
-	gateHeld   atomic.Bool
-}
-
 // NewMutex builds a mutex on a, drawing its first round's slot from
 // shard 0.
 func NewMutex(a *Arena) *Mutex {
 	m := &Mutex{arena: a}
-	m.cur.Store(&round{slot: a.Get(0), seq: 1})
+	m.cur.Store(m.newRound(0, 1))
 	return m
+}
+
+// newRound draws a pristine slot and opens it as round seq of m. Until
+// it is installed in m.cur the round is unpublished, but a stale waiter
+// may already pin it, so a caller that fails to install it must close
+// it rather than Put it.
+func (m *Mutex) newRound(hint int, seq uint64) *Slot {
+	s := m.arena.Get(hint)
+	s.owner = m
+	s.seq.Store(seq)
+	// A free slot is closed with no refs, so nobody else writes the word:
+	// bump the tag, clear the flags, open.
+	s.state.Store(s.state.Load()&^(stTagOne-1) + stTagOne | stOpen)
+	return s
+}
+
+// pin takes a reference on the slot's current incarnation if it is an
+// open round. It fails, touching nothing, on a closed one — superseded,
+// free, or a tombstone.
+func (s *Slot) pin() bool {
+	for {
+		w := s.state.Load()
+		if w&stOpen == 0 {
+			return false
+		}
+		if s.state.CompareAndSwap(w, w+1) {
+			return true
+		}
+	}
+}
+
+// setFlag sets a flag bit of a round the caller holds pinned. (A
+// Load/CompareAndSwap loop rather than atomic Or: see the go1.24
+// intrinsic bug noted in internal/server.)
+func (s *Slot) setFlag(f uint64) {
+	for {
+		w := s.state.Load()
+		if s.state.CompareAndSwap(w, w|f) {
+			return
+		}
+	}
+}
+
+// leave drops one reference. Leaving a closed round with the last
+// reference makes the caller its reaper. Being the last one out of an
+// open round that saw an abort is the winnerless-round trigger: no
+// participant is left inside and nobody holds the round, so no winner
+// exists to install a successor — the leaver, still pinned, takes the
+// recovering ticket and recovers the round for its owner (which need
+// not be the caller's mutex, if the caller's pointer was stale).
+func (s *Slot) leave() {
+	for {
+		w := s.state.Load()
+		if w&(stRefs|stOpen|stAborted|stRecovering) == 1|stOpen|stAborted {
+			if s.state.CompareAndSwap(w, w|stRecovering) {
+				s.owner.recoverRound(s)
+			}
+			continue
+		}
+		if s.state.CompareAndSwap(w, w-1) {
+			if w&(stRefs|stOpen) == 1 {
+				s.reap(w)
+			}
+			return
+		}
+	}
+}
+
+// close closes the round once its successor is installed (or, for an
+// unpublished successor, once its install failed); if nobody is inside,
+// the closer is the reaper. Exactly one caller closes each incarnation —
+// whoever moved m.cur off it, or the installer that failed to publish it.
+func (s *Slot) close() {
+	for {
+		w := s.state.Load()
+		if s.state.CompareAndSwap(w, w&^stOpen) {
+			if w&stRefs == 0 {
+				s.reap(w)
+			}
+			return
+		}
+	}
+}
+
+// reap recycles a closed round that nobody is inside; w is its final
+// state word. The caller is the round's unique reaper: the word reached
+// closed-with-zero-refs exactly once, and no pin succeeds on a closed
+// word. If abort recovery deferred its gate release to the round's last
+// straggler, the release happens here, now that every claim of the
+// round has been decided.
+func (s *Slot) reap(w uint64) {
+	m := s.owner
+	s.owner = nil
+	if w&stGateHeld != 0 {
+		m.gate.CompareAndSwap(s.seq.Load(), 0)
+	}
+	m.arena.Put(s)
 }
 
 // Arena returns the arena backing this mutex.
@@ -167,20 +304,26 @@ func (m *Mutex) Revoke(tok uint64) bool {
 		return false
 	}
 	// The gate CAS makes us the unique releaser of round tok: the holder
-	// observed-or-will-observe its own gate CAS fail. Install the
-	// successor unless a concurrent Retire got the (momentarily free)
-	// lock first.
-	r := m.cur.Load()
-	if r.seq != tok {
+	// observed-or-will-observe its own gate CAS fail. Pin the current
+	// round so its incarnation cannot be recycled under the install CAS,
+	// then install the successor unless a concurrent Retire got the
+	// (momentarily free) lock first.
+	s := m.cur.Load()
+	if !s.pin() {
 		return true // Retire raced in and already moved the chain on
 	}
-	next := &round{slot: m.arena.Get(0), seq: r.seq + 1}
-	if m.cur.CompareAndSwap(r, next) {
-		r.closed.Store(true)
-		m.expirations.Add(1)
-	} else {
-		m.arena.Put(next.slot) // pristine, never published
+	if s.seq.Load() == tok {
+		next := m.newRound(0, tok+1)
+		if m.cur.CompareAndSwap(s, next) {
+			s.close()
+			m.expirations.Add(1)
+		} else {
+			next.close()
+		}
 	}
+	// If the zombie's fenced Unlock already dropped the winner's
+	// reference, this leave is the last one out and recycles the slot.
+	s.leave()
 	return true
 }
 
@@ -196,20 +339,16 @@ func (m *Mutex) Retire() bool {
 	// No winner can be decided from here on (claim CASes fail against
 	// the sentinel), and no release/revoke can run (they need gate ==
 	// token), so only a release that already cleared the gate can still
-	// be installing a successor — loop until our tombstone lands.
+	// be installing a successor — loop until our tombstone lands. The
+	// tombstone is a slot-less round whose zero state word is closed, so
+	// nobody can ever enter it. (It is the one round that allocates:
+	// eviction is not the handover path.)
+	tomb := &Slot{}
 	for {
-		r := m.cur.Load()
-		tomb := &round{seq: r.seq + 1}
-		tomb.closed.Store(true)
-		tomb.reaped.Store(true) // nothing to recycle: no slot
-		if m.cur.CompareAndSwap(r, tomb) {
-			r.closed.Store(true)
-			if r.refs.Load() == 0 && r.reaped.CompareAndSwap(false, true) {
-				// Quiet retirement: nobody in the round, recycle now.
-				// Anyone arriving later sees closed before touching the
-				// registers (their ref precedes our zero read otherwise).
-				m.arena.Put(r.slot)
-			}
+		s := m.cur.Load()
+		tomb.seq.Store(s.seq.Load() + 1)
+		if m.cur.CompareAndSwap(s, tomb) {
+			s.close()
 			return true
 		}
 	}
@@ -268,8 +407,8 @@ type MutexProc struct {
 	m     *Mutex
 	h     *concurrent.Handle
 	id    int
-	last  uint64 // seq of the round already attempted (one TAS per round)
-	held  *round
+	last  uint64        // seq of the round already attempted (one TAS per round)
+	held  *Slot         // the won round, pinned until Unlock
 	wake  chan struct{} // capacity 1; Abort's kick out of a park
 	parkT *time.Timer   // reused across parks; owned by this goroutine
 }
@@ -293,7 +432,7 @@ func (p *MutexProc) Token() uint64 {
 	if p.held == nil {
 		return 0
 	}
-	return p.held.seq
+	return p.held.seq.Load()
 }
 
 // Lock acquires the mutex, blocking until this proc wins a round or ctx
@@ -374,8 +513,9 @@ func (p *MutexProc) LockWhile(stop func() bool) (uint64, bool) {
 			p.m.aborts.Add(1)
 			return 0, false
 		}
-		r := p.m.cur.Load()
-		if r.seq == p.last {
+		s := p.m.cur.Load()
+		seq := s.seq.Load()
+		if seq == p.last {
 			// Already lost this round; one TAS per round per proc, so
 			// wait for the holder to install the next round.
 			if stop != nil && stop() {
@@ -385,9 +525,9 @@ func (p *MutexProc) LockWhile(stop func() bool) (uint64, bool) {
 			continue
 		}
 		spins = 0
-		won, aborted := p.tryRound(r, true)
+		won, aborted := p.tryRound(s, seq, true)
 		if won {
-			return r.seq, true
+			return seq, true
 		}
 		if aborted {
 			p.h.ClearAbort()
@@ -422,38 +562,46 @@ func (p *MutexProc) TryLock() (uint64, bool) {
 	if p.held != nil {
 		panic("arena: TryLock on a MutexProc that already holds the mutex")
 	}
-	r := p.m.cur.Load()
-	if r.seq == p.last {
+	s := p.m.cur.Load()
+	seq := s.seq.Load()
+	if seq == p.last {
 		p.m.probeLosses.Add(1)
 		return 0, false
 	}
-	won, _ := p.tryRound(r, false)
+	won, _ := p.tryRound(s, seq, false)
 	if !won {
 		p.m.probeLosses.Add(1)
 		return 0, false
 	}
-	return r.seq, true
+	return seq, true
 }
 
-// tryRound enters round r, runs its TAS once, and returns (won,
-// aborted). On a win the round's reference is kept until Unlock; on a
-// loss, abort or closed round it is released. blocking distinguishes a
-// Lock attempt (a loss is real contention) from a TryLock probe (the
-// caller accounts for it).
-func (p *MutexProc) tryRound(r *round, blocking bool) (bool, bool) {
-	r.refs.Add(1)
-	if r.closed.Load() {
-		// Round already retired; the slot may be reset any moment. Do
-		// not touch its registers.
-		p.leave(r)
+// tryRound enters round s, observed as m.cur with sequence number seq,
+// runs its TAS once, and returns (won, aborted). On a win the round's
+// reference is kept until Unlock; on a loss, abort, closed round or
+// stale pointer it is released. blocking distinguishes a Lock attempt (a
+// loss is real contention) from a TryLock probe (the caller accounts for
+// it).
+func (p *MutexProc) tryRound(s *Slot, seq uint64, blocking bool) (bool, bool) {
+	if !s.pin() {
+		// Round already closed; the slot may be reset any moment. Do not
+		// touch its registers.
 		return false, false
 	}
-	p.last = r.seq
+	if p.m.cur.Load() != s || s.seq.Load() != seq {
+		// The pointer went stale before the pin: the pinned incarnation
+		// is a later round of this mutex, another mutex's round, or an
+		// unpublished successor. Entering would be a TAS on the wrong
+		// round (possibly under another proc's id); reload instead.
+		s.leave()
+		return false, false
+	}
+	p.last = seq
 	// Devirtualized steps, and (unless the arena was built NoDoorway)
 	// the constant-step uncontended doorway. The abortable variant is
 	// step-identical when no abort lands and falls back to running to
 	// completion when the elector offers no abort protocol.
-	v, aborted := r.slot.Obj.TASFastAbortable(p.h)
+	v, aborted := s.Obj.TASFastAbortable(p.h)
 	if v == 0 {
 		// Claim the gate. The CAS can fail because the mutex was retired
 		// while our TAS was in flight, because an abort recovery of this
@@ -464,46 +612,46 @@ func (p *MutexProc) tryRound(r *round, blocking bool) (bool, bool) {
 		// round's deferred recovery clears as soon as that round's last
 		// straggler leaves; spin it out.
 		for {
-			if p.m.gate.CompareAndSwap(0, r.seq) {
-				p.held = r // keep our reference until Unlock
+			if p.m.gate.CompareAndSwap(0, seq) {
+				p.held = s // keep our reference until Unlock
 				return true, false
 			}
 			g := p.m.gate.Load()
-			if g == retiredGate || r.recovering.Load() || p.m.cur.Load() != r {
+			if g == retiredGate || s.state.Load()&stRecovering != 0 || p.m.cur.Load() != s {
 				break
 			}
 			runtime.Gosched()
 		}
-		p.leave(r)
+		s.leave()
 		return false, false
 	}
 	if aborted {
-		// An abort is a loss that implies no winner: count it on the
-		// round before leaving so that a refcount drain can tell a
+		// An abort is a loss that implies no winner: flag it on the round
+		// before leaving so that the last one out can tell a
 		// possibly-winnerless round from a merely quiet one.
-		r.aborts.Add(1)
+		s.setFlag(stAborted)
 		p.m.aborts.Add(1)
-		p.leave(r)
+		s.leave()
 		return false, true
 	}
 	if blocking {
 		p.m.contended.Add(1)
 	}
-	p.leave(r)
+	s.leave()
 	return false, false
 }
 
 // Unlock releases the mutex if tok still owns it: install a fresh round
-// for the waiters, then retire the old one, recycling its slot once the
+// for the waiters, then close the old one, recycling its slot once the
 // last straggler leaves. A token that was revoked out from under the
 // holder (lease expiry, retirement) reports ErrFenced — the proc's state
 // is cleaned up either way, so the caller may lock again afterwards.
 func (p *MutexProc) Unlock(tok uint64) error {
-	r := p.held
-	if r == nil {
+	s := p.held
+	if s == nil {
 		return ErrNotHeld
 	}
-	if tok != r.seq {
+	if tok != s.seq.Load() {
 		return ErrBadToken
 	}
 	p.held = nil
@@ -511,103 +659,72 @@ func (p *MutexProc) Unlock(tok uint64) error {
 		// Revoke (or Retire-after-revoke) won the gate: the successor is
 		// theirs to install. Drop the winner's reference so the revoked
 		// round's slot can recycle.
-		p.leave(r)
+		s.leave()
 		return ErrFenced
 	}
-	next := &round{slot: p.m.arena.Get(p.id), seq: r.seq + 1}
-	if p.m.cur.CompareAndSwap(r, next) {
-		r.closed.Store(true)
-		p.leave(r) // release the winner's reference taken at Lock
-		p.m.rounds.Add(1)
-		return nil
+	next := p.m.newRound(p.id, tok+1)
+	if p.m.cur.CompareAndSwap(s, next) {
+		s.close()
+	} else {
+		// A Retire slipped between our gate clear and the install and
+		// moved the chain on (closing s); the release itself still
+		// succeeded.
+		next.close()
 	}
-	// A Retire slipped between our gate clear and the install and moved
-	// the chain on; the release itself still succeeded.
-	p.m.arena.Put(next.slot)
-	p.leave(r)
+	s.leave() // release the winner's reference taken at Lock
 	p.m.rounds.Add(1)
 	return nil
 }
 
-// leave drops one reference on r; whoever reaches zero after the round
-// closed recycles the slot. The reaped flag makes the recycle exactly
-// once even if the count touches zero more than once (possible when a
-// late arrival increments after a transient zero, sees closed, and backs
-// out without ever touching the registers). Reaching zero on an *open*
-// round that saw aborts is the winnerless-round trigger: no participant
-// is left inside, nobody claimed the gate, so no winner exists to
-// install a successor — recovery recycles the round in place of the
-// winner that never was.
-func (p *MutexProc) leave(r *round) {
-	if r.refs.Add(-1) != 0 {
-		return
-	}
-	if r.closed.Load() {
-		if r.reaped.CompareAndSwap(false, true) {
-			if r.gateHeld.CompareAndSwap(true, false) {
-				// Recovery deferred its gate release to us, the round's
-				// last straggler; every claim of this round is decided
-				// (claims happen before leave), so it is safe now.
-				p.m.gate.CompareAndSwap(r.seq, 0)
-			}
-			p.m.arena.Put(r.slot)
-		}
-		return
-	}
-	if r.aborts.Load() > 0 && r.recovering.CompareAndSwap(false, true) {
-		p.m.recoverRound(r)
-	}
-}
-
-// recoverRound recycles a round that may have ended winnerless: its
-// refcount drained to zero while it was still open and at least one
-// participant aborted. Every acquisition of the round has resolved (a
-// claim happens before the claimant's leave), so if the gate is still
+// recoverRound recovers a round that may have ended winnerless: the
+// caller, still pinned, was the last one out of the open round s and
+// some participant aborted. Every acquisition of the round has resolved
+// (a claim happens before the claimant's leave), so if the gate is still
 // unclaimed there is no winner and never will be one — recovery stands
 // in for the winner that never was: it pseudo-claims the gate (which
 // atomically excludes Retire and discards any late entrant's win),
-// installs the successor round, and recycles the slot. The recovering
-// ticket taken by the caller makes the attempt exactly-once per round.
+// installs the successor round, and closes s. The gate stays held until
+// s is reaped — by the caller's own leave, or by the last late entrant's
+// — so that no late entrant of s can claim it after the successor is
+// installed.
 //
 // The net slot accounting is exactly an Unlock's: one Get for the
 // successor, one Put of the recovered slot — a fully-aborted round
 // consumes nothing from the pool and waiters never see a stuck chain.
-func (m *Mutex) recoverRound(r *round) {
-	if !m.gate.CompareAndSwap(0, r.seq) {
-		// Not winnerless after all: a real winner claimed before our
-		// trigger fired (its Unlock installs the successor), or the
-		// mutex was retired (the tombstone is the successor).
-		return
-	}
-	if m.cur.Load() != r {
-		// The chain already moved past r; nothing to recover.
-		m.gate.CompareAndSwap(r.seq, 0)
-		return
-	}
-	// Mark the pseudo-claim as recovery-held *before* installing the
-	// successor: a late entrant of r that wins the TAS after this point
-	// sees either the held gate plus r.recovering, or the closed round,
-	// and discards its win knowing the successor is ours to install.
-	r.gateHeld.Store(true)
-	next := &round{slot: m.arena.Get(0), seq: r.seq + 1}
-	if !m.cur.CompareAndSwap(r, next) {
-		// Unreachable while we hold the gate (handover and retirement
-		// both need it), but fail safe: undo everything.
-		m.arena.Put(next.slot)
-		r.gateHeld.Store(false)
-		m.gate.CompareAndSwap(r.seq, 0)
-		return
-	}
-	r.closed.Store(true)
-	m.recovered.Add(1)
-	if r.refs.Load() == 0 && r.reaped.CompareAndSwap(false, true) {
-		// No straggler re-entered: release the gate and recycle now.
-		// Otherwise the last straggler's leave does both (gateHeld).
-		if r.gateHeld.CompareAndSwap(true, false) {
-			m.gate.CompareAndSwap(r.seq, 0)
+func (m *Mutex) recoverRound(s *Slot) {
+	seq := s.seq.Load()
+	for !m.gate.CompareAndSwap(0, seq) {
+		// Not winnerless after all if a late entrant won and claimed
+		// (its Unlock installs the successor), or the mutex was retired
+		// (the tombstone is the successor). Any other holder is
+		// transient — an earlier round's recovery waiting out its
+		// stragglers, or a recovery of a superseded round about to back
+		// off — and giving up here would spend this round's only
+		// recovering ticket and wedge the chain, so wait it out as the
+		// claim loop does.
+		if g := m.gate.Load(); g == seq || g == retiredGate || m.cur.Load() != s {
+			return
 		}
-		m.arena.Put(r.slot)
+		runtime.Gosched()
 	}
+	if m.cur.Load() != s {
+		// The chain already moved past s; nothing to recover.
+		m.gate.CompareAndSwap(seq, 0)
+		return
+	}
+	next := m.newRound(0, seq+1)
+	if !m.cur.CompareAndSwap(s, next) {
+		// Holding the gate excludes every installer but one: a Revoke of
+		// s's holder that cleared the gate before that holder's fenced
+		// Unlock made it the last one out. That Revoke installed first
+		// and closes s; discard our successor.
+		next.close()
+		m.gate.CompareAndSwap(seq, 0)
+		return
+	}
+	s.setFlag(stGateHeld)
+	s.close()
+	m.recovered.Add(1)
 }
 
 // maxParkInterval is the longest a blocked waiter sleeps between checks
